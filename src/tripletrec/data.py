@@ -441,6 +441,15 @@ def build_triplets(store: FeatureStore, strategy: PairingStrategy, seed: int) ->
     return out
 
 
+def gather_triplet_rows(store: FeatureStore, triplets: list[TripletExample]):
+    """Store rows (user, item_i, item_j) and float labels of each triplet."""
+    u = np.array([store.user_row(t.user_id) for t in triplets], dtype=np.intp)
+    i = np.array([store.item_row(t.item_i_id) for t in triplets], dtype=np.intp)
+    j = np.array([store.item_row(t.item_j_id) for t in triplets], dtype=np.intp)
+    labels = np.array([t.label for t in triplets], dtype=np.float64)
+    return u, i, j, labels
+
+
 def pairs_from_triplets(
     triplets: list[TripletExample], store: FeatureStore
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

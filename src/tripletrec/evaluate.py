@@ -9,31 +9,29 @@ Three metrics, all computed in inference mode over frozen parameters:
 * precision@k for item -> item retrieval — same, over query items with the
   query excluded from candidates.
 
-``TRIPLET_RANK_THREADS`` caps per-query parallelism of the retrieval metrics
-(0 = one worker per CPU); results are reduced in deterministic order either
-way.
+Each retrieval metric embeds the catalogue (and its queries) once and ranks
+every query against those latents.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import model as M
+from . import train as T
 from .data import (
     DataError,
     FeatureStore,
     PairingStrategy,
     TripletExample,
     build_triplets,
+    gather_triplet_rows,
     split_train_test,
 )
-from .train import TrainConfig, _gather_triplet_rows, train
 
 
 @dataclass
@@ -63,24 +61,6 @@ class EvalReport:
         return "\n".join(f"{name:<{width}}  {value}" for name, value in rows)
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("TRIPLET_RANK_THREADS")
-    if raw is None:
-        return 1
-    n = int(raw)
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
-def _map_queries(fn, args_list):
-    workers = _n_workers()
-    if workers > 1 and len(args_list) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, args_list))
-    return [fn(a) for a in args_list]
-
-
 def pairwise_accuracy(
     model: M.TripletModelParams, triplets: list[TripletExample], store: FeatureStore
 ) -> float:
@@ -88,7 +68,7 @@ def pairwise_accuracy(
     pairwise logit, label 1 a positive one; a zero logit is wrong."""
     if not triplets:
         raise DataError("empty test set")
-    u, i, j, labels = _gather_triplet_rows(store, triplets)
+    u, i, j, labels = gather_triplet_rows(store, triplets)
     o = M.pair_logit(
         model, store.user_topics[u], store.item_features[i], store.item_features[j]
     )
@@ -108,16 +88,15 @@ def precision_at_k(
     if not user_ids:
         raise DataError("no users to evaluate")
     tag_of = {int(iid): int(t) for iid, t in zip(store.item_ids, store.item_tags)}
-
-    def one(uid):
-        row = store.user_row(uid)
-        ranked = M.rank_items_for_user(
-            model, store.user_topics[row], store.item_ids, store.item_features, k
-        )
+    rows = [store.user_row(uid) for uid in user_ids]
+    z_users = M.embed_user(model.user_tower, store.user_topics[rows])
+    z_items = M.embed_item(model.item_tower, store.item_features)
+    per_user = []
+    for row, z_u in zip(rows, z_users):
+        ranked = M.rank_latents_for_user(model, z_u, store.item_ids, z_items, k)
         hits = sum(1 for iid in ranked if tag_of[int(iid)] == int(store.user_tags[row]))
-        return hits / len(ranked)
-
-    return float(np.mean(_map_queries(one, user_ids)))
+        per_user.append(hits / len(ranked))
+    return float(np.mean(per_user))
 
 
 def item_item_precision_at_k(
@@ -132,21 +111,14 @@ def item_item_precision_at_k(
     if not item_ids:
         raise DataError("no items to evaluate")
     tag_of = {int(iid): int(t) for iid, t in zip(store.item_ids, store.item_tags)}
-
-    def one(iid):
-        row = store.item_row(iid)
-        ranked = M.rank_items_for_item(
-            model,
-            store.item_features[row],
-            store.item_ids,
-            store.item_features,
-            k,
-            exclude_ids=(int(iid),),
-        )
+    rows = [store.item_row(iid) for iid in item_ids]
+    z_items = M.embed_item(model.item_tower, store.item_features)
+    per_item = []
+    for iid, row in zip(item_ids, rows):
+        ranked = M.rank_latents_for_item(z_items[row], store.item_ids, z_items, k, (int(iid),))
         hits = sum(1 for r in ranked if tag_of[int(r)] == int(store.item_tags[row]))
-        return hits / len(ranked)
-
-    return float(np.mean(_map_queries(one, item_ids)))
+        per_item.append(hits / len(ranked))
+    return float(np.mean(per_item))
 
 
 def evaluate_model(
@@ -232,8 +204,8 @@ class MethodComparison:
 
 def compare_methods(
     store: FeatureStore,
-    config_a: TrainConfig,
-    config_b: TrainConfig,
+    config_a: T.TrainConfig,
+    config_b: T.TrainConfig,
     seeds: list[int],
     strategy: PairingStrategy | None = None,
     test_fraction: float = 0.2,
@@ -257,7 +229,7 @@ def compare_methods(
         item_item: dict[str, float] = {}
         for name, config in ((name_a, config_a), (name_b, config_b)):
             run_cfg = dataclasses.replace(config, seed=seed)
-            ckpt = train(store, train_set, run_cfg, log_stream=log_stream)
+            ckpt = T.train(store, train_set, run_cfg, log_stream=log_stream)
             pairwise[name] = pairwise_accuracy(ckpt.model, test_set, store)
             item_item[name] = item_item_precision_at_k(
                 ckpt.model, store.item_ids.tolist(), store, k

@@ -60,7 +60,7 @@ class TowerSpec:
     def __post_init__(self):
         if not self.hidden_dims:
             raise ValueError("a tower needs at least one hidden layer")
-        if self.input_dim < 1 or self.output_dim < 1:
+        if min(self.input_dim, self.output_dim, *self.hidden_dims) < 1:
             raise ValueError("tower dimensions must be positive")
 
 
@@ -322,7 +322,9 @@ def triplet_loss_and_grads(
 ) -> float:
     """Mean cross-entropy of sigmoid(o) against the orientation labels,
     computed from logits. Populates gradients of the user tower, the shared
-    item tower (both branches accumulate) and the head.
+    item tower (both branches accumulate) and the head. The head bias cancels
+    in o = D_i - D_j, so its gradient here is exactly 0 and triplet training
+    leaves it at its initial value.
     """
     labels = np.asarray(labels, dtype=np.float64)
     z_u, cache_u = tower_forward(model.user_tower, u, training, rng)
@@ -387,38 +389,45 @@ def _top_k(item_ids: Array, distances: Array, k: int, what: str) -> Array:
     return item_ids[order[:k]]
 
 
-def rank_items_for_user(
-    model: TripletModelParams,
-    u: Array,
-    item_ids: Array,
-    item_features: Array,
-    k: int,
+def rank_latents_for_user(
+    model: TripletModelParams, z_u: Array, item_ids: Array, z_items: Array, k: int
 ) -> Array:
-    """Top-k item ids by learned weighted distance, ascending; ties broken by
-    ascending item id. Inference mode only (no dropout)."""
-    z_u = embed_user(model.user_tower, u)
-    z_items = embed_item(model.item_tower, item_features)
+    """Top-k item ids for one user latent against already embedded items, by
+    learned weighted distance ascending; ties broken by ascending item id."""
     d = distance_forward(model.head, z_u, z_items)[0]
     return _top_k(np.asarray(item_ids), d, k, "items for user")
 
 
-def rank_items_for_item(
-    model: TripletModelParams,
-    query_features: Array,
-    item_ids: Array,
-    item_features: Array,
-    k: int,
-    exclude_ids=(),
+def rank_latents_for_item(
+    z_q: Array, item_ids: Array, z_items: Array, k: int, exclude_ids
 ) -> Array:
-    """Top-k neighbours of an item by squared Euclidean distance between
-    item-tower latents (the learned head scores user-item pairs, so item-item
-    retrieval uses the plain latent metric). ``exclude_ids`` drops candidates,
-    typically the query itself."""
+    """Top-k neighbours of one item latent among already embedded items by
+    squared Euclidean distance (the head scores user-item pairs only), ties
+    by ascending id; ``exclude_ids`` drops candidates, typically the query."""
     item_ids = np.asarray(item_ids)
-    z_q = embed_item(model.item_tower, query_features)
-    z_items = embed_item(model.item_tower, item_features)
     d = ((z_items - z_q) ** 2).sum(axis=1)
     if len(exclude_ids):
         keep = ~np.isin(item_ids, np.asarray(list(exclude_ids)))
         item_ids, d = item_ids[keep], d[keep]
     return _top_k(item_ids, d, k, "item neighbours")
+
+
+def rank_items_for_user(
+    model: TripletModelParams, u: Array, item_ids: Array, item_features: Array, k: int
+) -> Array:
+    """Embed the user and the items (inference mode, no dropout), then rank
+    as :func:`rank_latents_for_user` does."""
+    z_u = embed_user(model.user_tower, u)
+    z_items = embed_item(model.item_tower, item_features)
+    return rank_latents_for_user(model, z_u, item_ids, z_items, k)
+
+
+def rank_items_for_item(
+    model: TripletModelParams, query_features: Array, item_ids: Array,
+    item_features: Array, k: int, exclude_ids=(),
+) -> Array:
+    """Embed the query and the items, then rank as
+    :func:`rank_latents_for_item` does."""
+    z_q = embed_item(model.item_tower, query_features)
+    z_items = embed_item(model.item_tower, item_features)
+    return rank_latents_for_item(z_q, item_ids, z_items, k, exclude_ids)

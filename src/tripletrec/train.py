@@ -17,8 +17,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import evaluate as E
 from . import model as M
-from .data import DataError, FeatureStore, TripletExample, pairs_from_triplets
+from .data import (
+    DataError,
+    FeatureStore,
+    TripletExample,
+    gather_triplet_rows,
+    pairs_from_triplets,
+)
 from .nn import NonFiniteLossError, RngState, adam_step, zero_grads
 
 CHECKPOINT_VERSION = 1
@@ -66,23 +73,6 @@ def build_model(config: TrainConfig, rng: RngState) -> M.TripletModelParams:
     return M.init_model(user_spec, item_spec, rng)
 
 
-def _gather_triplet_rows(store: FeatureStore, triplets: list[TripletExample]):
-    u = np.array([store.user_row(t.user_id) for t in triplets], dtype=np.intp)
-    i = np.array([store.item_row(t.item_i_id) for t in triplets], dtype=np.intp)
-    j = np.array([store.item_row(t.item_j_id) for t in triplets], dtype=np.intp)
-    labels = np.array([t.label for t in triplets], dtype=np.float64)
-    return u, i, j, labels
-
-
-def _eval_pairwise(model, store, triplets) -> float:
-    u, i, j, labels = _gather_triplet_rows(store, triplets)
-    o = M.pair_logit(
-        model, store.user_topics[u], store.item_features[i], store.item_features[j]
-    )
-    correct = ((o < 0) & (labels == 0)) | ((o > 0) & (labels == 1))
-    return float(correct.mean())
-
-
 def train(
     store: FeatureStore,
     triplets: list[TripletExample],
@@ -103,7 +93,7 @@ def train(
     model = build_model(config, rng)
     params = model.parameters()
 
-    u_rows, i_rows, j_rows, tri_labels = _gather_triplet_rows(store, triplets)
+    u_rows, i_rows, j_rows, tri_labels = gather_triplet_rows(store, triplets)
     if config.model_kind == "twonet":
         pair_uids, pair_iids, pair_labels = pairs_from_triplets(triplets, store)
         pu_rows = np.array([store.user_row(x) for x in pair_uids], dtype=np.intp)
@@ -157,7 +147,7 @@ def train(
             and config.eval_every > 0
             and (epoch % config.eval_every == 0 or epoch == config.epochs)
         ):
-            line["eval_acc"] = _eval_pairwise(model, store, eval_triplets)
+            line["eval_acc"] = E.pairwise_accuracy(model, eval_triplets, store)
         print(json.dumps(line), file=log)
 
     return Checkpoint(
@@ -175,16 +165,26 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def _config_to_dict(config: TrainConfig) -> dict:
-    d = dataclasses.asdict(config)
-    return d
+_HEADER_FORM = {  # the keys of a header and the types of their values
+    "magic": _MAGIC, "format_version": CHECKPOINT_VERSION, "epoch": 0, "loss_history": [0.0],
+    "config": dataclasses.asdict(TrainConfig()), "rng": {"seed": 0, "counter": 0},
+    "tensors": [{"name": "", "shape": [0]}],
+}
 
 
-def _config_from_dict(d: dict) -> TrainConfig:
-    d = dict(d)
-    d["user_tower"] = M.TowerSpec(**d["user_tower"])
-    d["item_tower"] = M.TowerSpec(**d["item_tower"])
-    return TrainConfig(**d)
+def _has_form(value, form) -> bool:
+    """Whether parsed JSON ``value`` is laid out like ``form``: the same dict
+    keys, list items each like form's one item, and scalars of form's type
+    (an int may stand for a float; a bool is no int)."""
+    if isinstance(form, dict):
+        return (
+            isinstance(value, dict)
+            and value.keys() == form.keys()
+            and all(_has_form(value[k], f) for k, f in form.items())
+        )
+    if isinstance(form, list):
+        return isinstance(value, list) and all(_has_form(v, form[0]) for v in value)
+    return type(value) is type(form) or (type(form), type(value)) == (float, int)
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -192,7 +192,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     header = {
         "magic": _MAGIC,
         "format_version": ckpt.format_version,
-        "config": _config_to_dict(ckpt.config),
+        "config": dataclasses.asdict(ckpt.config),
         "rng": {"seed": ckpt.rng.seed, "counter": ckpt.rng.counter},
         "epoch": ckpt.epoch,
         "loss_history": ckpt.loss_history,
@@ -206,6 +206,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Load a checkpoint exactly as saved, or raise DataError. The tensor
+    manifest must list the config's model parameters, in order and shape."""
     with open(path, "rb") as fh:
         blob = fh.read()
     nl = blob.find(b"\n")
@@ -215,41 +217,42 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
-    if header.get("magic") != _MAGIC:
+    if not isinstance(header, dict) or header.get("magic") != _MAGIC:
         raise DataError(f"{path}: not a checkpoint file")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {header.get('format_version')!r} "
             f"(expected {CHECKPOINT_VERSION})"
         )
+    if not _has_form(header, _HEADER_FORM):
+        raise DataError(
+            f"{path}: checkpoint header lacks a key, has an unknown one or holds "
+            f"a value of the wrong type"
+        )
 
-    config = _config_from_dict(header["config"])
-    model = build_model(config, RngState(config.seed))
-    by_name = dict(M.named_parameters(model))
+    try:
+        towers = {k: M.TowerSpec(**header["config"][k]) for k in ("user_tower", "item_tower")}
+        config = TrainConfig(**{**header["config"], **towers})
+        model = build_model(config, RngState(config.seed))
+    except ValueError as e:
+        raise DataError(f"{path}: invalid checkpoint header: {e}") from None
+
+    tensors = M.named_parameters(model)
+    manifest = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+    if manifest != [(n, p.value.shape) for n, p in tensors]:
+        raise DataError(f"{path}: tensor manifest does not list the config's parameters in order")
     offset = nl + 1
-    for entry in header["tensors"]:
-        name, shape = entry["name"], tuple(entry["shape"])
-        if name not in by_name:
-            raise DataError(f"{path}: unknown tensor section {name!r}")
-        p = by_name[name]
-        if p.value.shape != shape:
-            raise DataError(
-                f"{path}: tensor {name!r} has shape {shape}, config implies {p.value.shape}"
-            )
-        nbytes = int(np.prod(shape)) * 8
+    for name, p in tensors:
+        nbytes = p.value.size * 8
         section = blob[offset : offset + nbytes]
         if len(section) != nbytes:
             raise DataError(f"{path}: truncated tensor section {name!r}")
-        p.value[...] = np.frombuffer(section, dtype="<f8").reshape(shape)
+        p.value[...] = np.frombuffer(section, dtype="<f8").reshape(p.value.shape)
         offset += nbytes
     if offset != len(blob):
         raise DataError(f"{path}: {len(blob) - offset} trailing bytes after tensor sections")
 
     return Checkpoint(
-        config=config,
-        model=model,
-        rng=RngState(header["rng"]["seed"], header["rng"]["counter"]),
-        epoch=header["epoch"],
-        loss_history=list(header["loss_history"]),
-        format_version=header["format_version"],
+        config, model, RngState(**header["rng"]), header["epoch"], header["loss_history"],
+        header["format_version"],
     )

@@ -1,0 +1,84 @@
+"""Shared fixtures: checkpoint files taken apart and put back together, and
+the header and manifest defects every checkpoint loader must reject."""
+
+import json
+import math
+
+import pytest
+
+
+def split_checkpoint(blob: bytes):
+    """A checkpoint's bytes as (header, [(manifest entry, tensor bytes)])."""
+    nl = blob.find(b"\n")
+    header = json.loads(blob[:nl])
+    sections, offset = [], nl + 1
+    for entry in header["tensors"]:
+        n = 8 * math.prod(entry["shape"])
+        sections.append((entry, blob[offset : offset + n]))
+        offset += n
+    return header, sections
+
+
+def join_checkpoint(header: dict, sections) -> bytes:
+    """Inverse of split_checkpoint; the header's manifest is written as is."""
+    return (
+        json.dumps(header, sort_keys=True).encode()
+        + b"\n"
+        + b"".join(data for _, data in sections)
+    )
+
+
+def _unknown_config_key(header, sections):
+    header["config"]["momentum"] = 0.9
+    return sections
+
+
+def _missing_rng(header, sections):
+    del header["rng"]
+    return sections
+
+
+def _omitted_tensor(header, sections):
+    return [s for s in sections if s[0]["name"] != "user.w0"]
+
+
+def _duplicated_tensor(header, sections):
+    return sections + sections[-1:]
+
+
+def _swapped_tensors(header, sections):
+    # gain and shift of one layer share a shape: only the order tells them apart
+    names = [entry["name"] for entry, _ in sections]
+    a, b = names.index("item.gain0"), names.index("item.shift0")
+    sections = list(sections)
+    sections[a], sections[b] = sections[b], sections[a]
+    return sections
+
+
+DEFECTS = {
+    "unknown-config-key": _unknown_config_key,
+    "missing-rng": _missing_rng,
+    "omitted-tensor": _omitted_tensor,
+    "duplicated-tensor": _duplicated_tensor,
+    "swapped-tensors": _swapped_tensors,
+}
+
+
+@pytest.fixture(scope="session")
+def checkpoint_parts():
+    """(split, join) for editing checkpoint files byte for byte."""
+    return split_checkpoint, join_checkpoint
+
+
+@pytest.fixture(params=sorted(DEFECTS))
+def break_checkpoint(request):
+    """Rewrites the checkpoint at a path with one defect, its bytes and its
+    manifest kept consistent with each other."""
+
+    def apply(path):
+        header, sections = split_checkpoint(path.read_bytes())
+        sections = DEFECTS[request.param](header, sections)
+        header["tensors"] = [entry for entry, _ in sections]
+        path.write_bytes(join_checkpoint(header, sections))
+
+    return apply

@@ -144,6 +144,15 @@ class TestEval:
         assert code == 0
         assert "precision@3" in capsys.readouterr().out
 
+    def test_defective_checkpoint_exits_2(self, corpus_dir, ckpt_file, break_checkpoint,
+                                          capsys):
+        break_checkpoint(ckpt_file)
+        code = run([
+            "eval", "--ckpt", str(ckpt_file), "--corpus", str(corpus_dir), "--k", "3",
+        ])
+        assert code == 2
+        assert str(ckpt_file) in capsys.readouterr().err
+
 
 class TestRetrieve:
     def test_for_user(self, corpus_dir, ckpt_file, capsys):

@@ -4,11 +4,16 @@ trivial and hand-built models with known scores, and the method comparison."""
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+import tripletrec
 from tripletrec import model as M
 from tripletrec.data import (
     DataError,
@@ -303,19 +308,38 @@ class TestEvalReport:
         assert "pairwise accuracy" in table
         assert "precision@3" in table
 
-    def test_rank_threads_env_does_not_change_results(self, monkeypatch):
+    def test_each_catalogue_row_is_embedded_once_per_retrieval_metric(self, monkeypatch):
         store = small_corpus()
         model = M.init_model(
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
             RngState(16),
         )
-        serial = precision_at_k(model, store.user_ids.tolist(), store, 5)
-        monkeypatch.setenv("TRIPLET_RANK_THREADS", "2")
-        threaded = precision_at_k(model, store.user_ids.tolist(), store, 5)
-        monkeypatch.setenv("TRIPLET_RANK_THREADS", "0")  # auto
-        auto = precision_at_k(model, store.user_ids.tolist(), store, 5)
-        assert serial == threaded == auto
+        item_rows = []
+        tower_forward = M.tower_forward
+
+        def counting(tower, x, *args, **kwargs):
+            if tower is model.item_tower:
+                item_rows.append(np.atleast_2d(x).shape[0])
+            return tower_forward(tower, x, *args, **kwargs)
+
+        monkeypatch.setattr(M, "tower_forward", counting)
+        evaluate_model(model, store, k=5)
+        assert sum(item_rows) == 2 * store.n_items
+
+
+@pytest.mark.parametrize("first", ["tripletrec.train", "tripletrec.evaluate"])
+def test_train_and_evaluate_import_in_either_order(first):
+    second = "tripletrec.evaluate" if first == "tripletrec.train" else "tripletrec.train"
+    code = (
+        f"import importlib; importlib.import_module({first!r}); "
+        f"E = importlib.import_module('tripletrec.evaluate'); "
+        f"importlib.import_module({second!r}); "
+        f"assert E.T is importlib.import_module('tripletrec.train')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tripletrec.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCompareMethods:

@@ -225,6 +225,20 @@ class TestTripletLoss:
         g_shared = m.item_tower.weights[0].grad.copy()
         assert np.abs(g_shared).max() > 0
 
+    def test_head_bias_gradient_is_exactly_zero(self):
+        # the bias cancels in o = D_i - D_j; the pointwise baseline keeps it
+        m = tiny_model(seed=33, dropout=0.2)
+        gen = np.random.default_rng(12)
+        u = gen.normal(size=(6, 3))
+        xi = gen.normal(size=(6, 5))
+        xj = gen.normal(size=(6, 5))
+        labels = gen.integers(0, 2, size=6).astype(float)
+        M.triplet_loss_and_grads(m, u, xi, xj, labels, training=True, rng=RngState(1))
+        assert m.head.bias.grad[0, 0] == 0.0
+        zero_grads(m.parameters())
+        M.twonet_loss_and_grads(m, u, xi, labels, training=True, rng=RngState(1))
+        assert m.head.bias.grad[0, 0] != 0.0
+
 
 class TestTwonetLoss:
     def test_zero_distance_label_one_gives_ln2(self):
@@ -285,6 +299,20 @@ class TestRanking:
             got = M.rank_items_for_user(m, u, item_ids, feats, k)
             expected = brute_force_user_ranking(m, u, item_ids, feats, k)
             assert got.tolist() == expected
+
+    def test_latent_rankers_match_the_embedding_rankers(self):
+        m, u, item_ids, feats = self._setup(seed=42)
+        z_items = M.embed_item(m.item_tower, feats)
+        z_u = M.embed_user(m.user_tower, u)
+        for k in (1, 5, 29):
+            assert np.array_equal(
+                M.rank_latents_for_user(m, z_u, item_ids, z_items, k),
+                M.rank_items_for_user(m, u, item_ids, feats, k),
+            )
+            assert np.array_equal(
+                M.rank_latents_for_item(z_items[3], item_ids, z_items, k, (103,)),
+                M.rank_items_for_item(m, feats[3], item_ids, feats, k, exclude_ids=(103,)),
+            )
 
     def test_full_k_is_a_permutation(self):
         m, u, item_ids, feats = self._setup(seed=43)

@@ -3,9 +3,12 @@ and checkpoint round trips."""
 
 import io
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletrec import model as M
 from tripletrec.data import (
@@ -47,6 +50,32 @@ def corpus():
     store = generate_synthetic(cfg)
     triplets = build_triplets(store, PairingStrategy.one_to_n(2), seed=5)
     return store, triplets
+
+
+@pytest.fixture(scope="module")
+def saved_checkpoint(corpus, tmp_path_factory):
+    store, triplets = corpus
+    path = tmp_path_factory.mktemp("saved") / "m.ckpt"
+    save_checkpoint(train(store, triplets, tiny_config(), log_stream=io.StringIO()), path)
+    return path
+
+
+def _key_paths(node, prefix=()):
+    """Paths to every dict key of a parsed header, lists of dicts included."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield prefix + (key,)
+            yield from _key_paths(value, prefix + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _key_paths(value, prefix + (i,))
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
 
 
 class TestTrainLoop:
@@ -207,6 +236,46 @@ class TestCheckpoint:
         path.write_bytes(json.dumps(header, sort_keys=True).encode() + blob[nl:])
         with pytest.raises(DataError, match="version"):
             load_checkpoint(path)
+
+    def test_defective_checkpoint_raises_data_error(self, saved_checkpoint, tmp_path,
+                                                    break_checkpoint):
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(saved_checkpoint.read_bytes())
+        break_checkpoint(path)
+        with pytest.raises(DataError, match=re.escape(str(path))):
+            load_checkpoint(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_header_mutation_round_trips_or_raises_data_error(
+        self, data, saved_checkpoint, checkpoint_parts
+    ):
+        split, join = checkpoint_parts
+        header, sections = split(saved_checkpoint.read_bytes())
+        *parents, key = data.draw(st.sampled_from(list(_key_paths(header))))
+        node = header
+        for p in parents:
+            node = node[p]
+        action = data.draw(st.sampled_from(["drop", "rename", "retype"]))
+        if action == "drop":
+            del node[key]
+        elif action == "rename":
+            node[data.draw(st.text(min_size=1, max_size=8).filter(lambda k: k not in node))] = (
+                node.pop(key)
+            )
+        else:
+            old_type = type(node[key])
+            node[key] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not old_type))
+        blob = join(header, sections)
+        mutated = saved_checkpoint.with_name("mutated.ckpt")
+        mutated.write_bytes(blob)
+        try:
+            loaded = load_checkpoint(mutated)
+        except DataError:
+            return
+        again = saved_checkpoint.with_name("again.ckpt")
+        save_checkpoint(loaded, again)
+        assert again.read_bytes() == blob
 
     def test_loaded_model_ranks_identically(self, corpus, tmp_path):
         store, triplets = corpus
