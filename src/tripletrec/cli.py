@@ -293,10 +293,7 @@ def run(argv) -> int:
         return 0 if e.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except D.DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (D.DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NonFiniteLossError as e:

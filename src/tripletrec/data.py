@@ -10,15 +10,20 @@ File formats (UTF-8, '.' decimal separator):
   flattened frame-major (frame 0 first).
 * triplets file: header ``user_id,item_i,item_j,label`` with label 0 for a
   (matching, non-matching) ordering and 1 for the reverse.
+
+Loading gives exactly what was saved or raises DataError naming the file, the
+line and, for a bad cell, the column: bytes that are not UTF-8, CSV syntax
+errors, rows whose width differs from the header's, cells that are not finite
+numbers, and ids or tags outside int64.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,92 +171,91 @@ def dominant_tag(topic_vector: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _parse_float(text: str, line_no: int, col: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise DataError(f"line {line_no}: column {col}: not a number: {text!r}") from None
-    if not math.isfinite(v):
-        raise DataError(f"line {line_no}: column {col}: non-finite value {text!r}")
-    return v
+class _Table(NamedTuple):  # a CSV file's header and its non-blank (line number, row) pairs
+    path: Path
+    header: list[str]
+    rows: list[tuple[int, list[str]]]
 
 
-def _parse_int(text: str, line_no: int, col: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise DataError(f"line {line_no}: column {col}: not an integer: {text!r}") from None
-
-
-def _read_rows(path) -> tuple[list[str], list[tuple[int, list[str]]]]:
+def _read_table(path) -> _Table:
     path = Path(path)
     if not path.exists():
         raise DataError(f"file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        rows = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
-    return header, rows
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [(reader.line_num, row) for row in reader if row]
+    except UnicodeDecodeError:  # the first line that decoding with replacement alters
+        line = next(n for n, raw in enumerate(path.read_bytes().splitlines(), start=1)
+                    if raw.decode("utf-8", "replace").encode() != raw)
+        raise DataError(f"{path}: line {line}: not UTF-8") from None
+    except csv.Error as e:
+        raise DataError(f"{path}: line {reader.line_num}: {e}") from None
+    for line, row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}: line {line}: expected {len(header)} fields, found {len(row)}")
+    return _Table(path, header, rows)
+
+
+def _to_array(cells, parse, dtype) -> np.ndarray | None:
+    """Cell texts as a flat array, or None if one is not a finite number of the dtype."""
+    try:
+        flat = np.array([parse(c) for c in cells], dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+    return flat if np.isfinite(flat).all() else None
+
+
+def _parse_columns(table: _Table, cols: slice, dtype) -> np.ndarray:
+    """Columns ``cols`` of every row as a (rows, columns) int64 or finite
+    float64 array, or DataError naming the first cell that is neither."""
+    parse, kind = (int, "an int64 integer") if dtype is np.int64 else (float, "a finite number")
+    names = table.header[cols]
+    flat = _to_array((c for _, row in table.rows for c in row[cols]), parse, dtype)
+    if flat is None:
+        line, col, text = next(
+            (line, col, text)
+            for line, row in table.rows
+            if _to_array(row[cols], parse, dtype) is None
+            for col, text in zip(names, row[cols])
+            if _to_array([text], parse, dtype) is None
+        )
+        raise DataError(f"{table.path}: line {line}: column {col}: not {kind}: {text!r}")
+    return flat.reshape(len(table.rows), len(names))
 
 
 def load_corpus(users_path, items_path) -> FeatureStore:
     """Read users and items CSVs into a validated FeatureStore."""
-    header, rows = _read_rows(users_path)
-    if not header or header[0] != "user_id" or len(header) < 2:
+    users = _read_table(users_path)
+    header = users.header
+    if header[:1] != ["user_id"]:
         raise DataError(f"{users_path}: expected header user_id,t0,...[,tag]")
-    has_tag = header[-1] == "tag"
-    topic_dim = len(header) - 1 - (1 if has_tag else 0)
-    if topic_dim < 1:
+    topics_end = len(header) - (header[-1] == "tag")
+    if topics_end < 2:
         raise DataError(f"{users_path}: no topic columns in header")
-    if not rows:
+    if not users.rows:
         raise DataError(f"{users_path}: no users")
-
-    user_ids, topics, user_tags = [], [], []
-    for line_no, row in rows:
-        if len(row) != len(header):
-            raise DataError(
-                f"{users_path}: line {line_no}: expected {len(header)} fields, found {len(row)}"
-            )
-        uid = _parse_int(row[0], line_no, "user_id")
-        vec = [_parse_float(row[1 + j], line_no, header[1 + j]) for j in range(topic_dim)]
-        tag = _parse_int(row[-1], line_no, "tag") if has_tag else dominant_tag(np.array(vec))
-        user_ids.append(uid)
-        topics.append(vec)
-        user_tags.append(tag)
-    if len(set(user_ids)) != len(user_ids):
+    user_ids = _parse_columns(users, slice(0, 1), np.int64)[:, 0]
+    if len(np.unique(user_ids)) != len(user_ids):
         raise DataError(f"{users_path}: duplicate user ids")
+    user_topics = _parse_columns(users, slice(1, topics_end), np.float64)
+    if topics_end < len(header):
+        user_tags = _parse_columns(users, slice(topics_end, None), np.int64)[:, 0]
+    else:  # dominant_tag of every row
+        user_tags = np.argmax(user_topics, axis=1).astype(np.int64)
 
-    header, rows = _read_rows(items_path)
-    if len(header) < 3 or header[0] != "item_id" or header[1] != "tag":
+    items = _read_table(items_path)
+    if len(items.header) < 3 or items.header[:2] != ["item_id", "tag"]:
         raise DataError(f"{items_path}: expected header item_id,tag,f0,...")
-    feat_dim = len(header) - 2
-    if not rows:
+    if not items.rows:
         raise DataError(f"{items_path}: no items")
-
-    item_ids, feats, item_tags = [], [], []
-    for line_no, row in rows:
-        if len(row) != len(header):
-            raise DataError(
-                f"{items_path}: line {line_no}: expected {len(header)} fields "
-                f"({feat_dim} features), found {len(row)}"
-            )
-        item_ids.append(_parse_int(row[0], line_no, "item_id"))
-        item_tags.append(_parse_int(row[1], line_no, "tag"))
-        feats.append([_parse_float(row[2 + j], line_no, header[2 + j]) for j in range(feat_dim)])
-    if len(set(item_ids)) != len(item_ids):
+    item_ids = _parse_columns(items, slice(0, 1), np.int64)[:, 0]
+    if len(np.unique(item_ids)) != len(item_ids):
         raise DataError(f"{items_path}: duplicate item ids")
-
-    return FeatureStore(
-        user_ids=np.array(user_ids, dtype=np.int64),
-        user_topics=np.array(topics, dtype=np.float64),
-        user_tags=np.array(user_tags, dtype=np.int64),
-        item_ids=np.array(item_ids, dtype=np.int64),
-        item_features=np.array(feats, dtype=np.float64),
-        item_tags=np.array(item_tags, dtype=np.int64),
-    )
+    item_tags = _parse_columns(items, slice(1, 2), np.int64)[:, 0]
+    item_features = _parse_columns(items, slice(2, None), np.float64)
+    return FeatureStore(user_ids, user_topics, user_tags, item_ids, item_features, item_tags)
 
 
 def load_corpus_dir(corpus_dir) -> FeatureStore:
@@ -293,27 +297,17 @@ def save_triplets(triplets: list[TripletExample], path) -> None:
 
 
 def load_triplets(path) -> list[TripletExample]:
-    header, rows = _read_rows(path)
-    if header != ["user_id", "item_i", "item_j", "label"]:
+    table = _read_table(path)
+    if table.header != ["user_id", "item_i", "item_j", "label"]:
         raise DataError(f"{path}: expected header user_id,item_i,item_j,label")
-    out = []
-    for line_no, row in rows:
-        if len(row) != 4:
-            raise DataError(f"{path}: line {line_no}: expected 4 fields, found {len(row)}")
-        label = _parse_int(row[3], line_no, "label")
-        if label not in (0, 1):
-            raise DataError(f"{path}: line {line_no}: label must be 0 or 1, got {label}")
-        out.append(
-            TripletExample(
-                _parse_int(row[0], line_no, "user_id"),
-                _parse_int(row[1], line_no, "item_i"),
-                _parse_int(row[2], line_no, "item_j"),
-                label,
-            )
-        )
-    if not out:
+    if not table.rows:
         raise DataError(f"{path}: no triplets")
-    return out
+    cells = _parse_columns(table, slice(0, 4), np.int64)
+    bad = np.flatnonzero(~np.isin(cells[:, 3], (0, 1)))
+    if bad.size:
+        line, label = table.rows[bad[0]][0], cells[bad[0], 3]
+        raise DataError(f"{path}: line {line}: label must be 0 or 1, got {label}")
+    return list(map(TripletExample, *cells.T.tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ Three metrics, all computed in inference mode over frozen parameters:
 * precision@k for item -> item retrieval — same, over query items with the
   query excluded from candidates.
 
-Each retrieval metric embeds the catalogue (and its queries) once and ranks
-every query against those latents.
+Each metric embeds the catalogue (and its users) once and scores every
+triplet or query against those latents.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ def pairwise_accuracy(
     if not triplets:
         raise DataError("empty test set")
     u, i, j, labels = gather_triplet_rows(store, triplets)
-    o = M.pair_logit(
-        model, store.user_topics[u], store.item_features[i], store.item_features[j]
-    )
+    z_u = M.embed_user(model.user_tower, store.user_topics)[u]
+    z_items = M.embed_item(model.item_tower, store.item_features)
+    d_i, d_j = (M.distance_forward(model.head, z_u, z_items[rows])[0] for rows in (i, j))
+    o = d_i - d_j
     correct = ((o < 0) & (labels == 0)) | ((o > 0) & (labels == 1))
     return float(correct.mean())
 

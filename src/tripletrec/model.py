@@ -102,19 +102,27 @@ class TowerParams:
         return [*self.weights, *self.biases, *self.gains, *self.shifts]
 
 
+def tower_layout(spec: TowerSpec) -> list[tuple[str, str, int, tuple[int, int]]]:
+    """(name, TowerParams field, layer, shape) of each tower tensor in checkpoint
+    order: weight and bias per linear layer, then gain and shift per norm."""
+    dims = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
+    out = []
+    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        out += [(f"w{i}", "weights", i, (d_in, d_out)), (f"b{i}", "biases", i, (1, d_out))]
+    for i, d in enumerate(spec.hidden_dims if spec.normalize else []):
+        out += [(f"gain{i}", "gains", i, (1, d)), (f"shift{i}", "shifts", i, (1, d))]
+    return out
+
+
 def init_tower(spec: TowerSpec, rng: RngState) -> TowerParams:
     """Glorot-uniform weights, zero biases, identity normalization."""
     gen = rng.next_generator()
-    dims = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
-    weights, biases, gains, shifts = [], [], [], []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        weights.append(ParamTensor(glorot_uniform(d_in, d_out, gen)))
-        biases.append(ParamTensor.zeros(1, d_out))
-    if spec.normalize:
-        for d in spec.hidden_dims:
-            gains.append(ParamTensor(np.ones((1, d))))
-            shifts.append(ParamTensor.zeros(1, d))
-    return TowerParams(spec, weights, biases, gains, shifts)
+    init = {"weights": lambda shape: glorot_uniform(*shape, gen), "biases": np.zeros,
+            "gains": np.ones, "shifts": np.zeros}
+    fields = {f: [] for f in init}
+    for _, f, _, shape in tower_layout(spec):
+        fields[f].append(ParamTensor(init[f](shape)))
+    return TowerParams(spec, **fields)
 
 
 @dataclass
@@ -174,18 +182,22 @@ def init_model(user_spec: TowerSpec, item_spec: TowerSpec, rng: RngState) -> Tri
     )
 
 
+def model_layout(user_spec: TowerSpec, item_spec: TowerSpec) -> list[tuple[str, tuple, tuple]]:
+    """(name, shape, (owner, field, layer)) of every parameter of such a model
+    in checkpoint order, allocating nothing; the head's layer is None."""
+    out = [(f"{side}.{name}", shape, (f"{side}_tower", f, i))
+           for side, spec in (("user", user_spec), ("item", item_spec))
+           for name, f, i, shape in tower_layout(spec)]
+    return out + [("head.weight", (1, user_spec.output_dim), ("head", "weight", None)),
+                  ("head.bias", (1, 1), ("head", "bias", None))]
+
+
 def named_parameters(model: TripletModelParams) -> list[tuple[str, ParamTensor]]:
-    """Stable (name, tensor) listing used by checkpoint serialization."""
-    out: list[tuple[str, ParamTensor]] = []
-    for prefix, tower in (("user", model.user_tower), ("item", model.item_tower)):
-        for i, (w, b) in enumerate(zip(tower.weights, tower.biases)):
-            out.append((f"{prefix}.w{i}", w))
-            out.append((f"{prefix}.b{i}", b))
-        for i, (g, s) in enumerate(zip(tower.gains, tower.shifts)):
-            out.append((f"{prefix}.gain{i}", g))
-            out.append((f"{prefix}.shift{i}", s))
-    out.append(("head.weight", model.head.weight))
-    out.append(("head.bias", model.head.bias))
+    """(name, tensor) of every parameter, in model_layout (checkpoint) order."""
+    out = []
+    for name, _, (owner, f, i) in model_layout(model.user_tower.spec, model.item_tower.spec):
+        tensor = getattr(getattr(model, owner), f)
+        out.append((name, tensor if i is None else tensor[i]))
     return out
 
 

@@ -66,11 +66,11 @@ class ParamTensor:
     def __post_init__(self):
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
+            self.grad = np.zeros(self.value.shape)
         if self.moment1 is None:
-            self.moment1 = np.zeros_like(self.value)
+            self.moment1 = np.zeros(self.value.shape)
         if self.moment2 is None:
-            self.moment2 = np.zeros_like(self.value)
+            self.moment2 = np.zeros(self.value.shape)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ParamTensor":

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -62,7 +63,6 @@ class Checkpoint:
     rng: RngState
     epoch: int
     loss_history: list[float]
-    format_version: int = CHECKPOINT_VERSION
 
 
 def build_model(config: TrainConfig, rng: RngState) -> M.TripletModelParams:
@@ -191,7 +191,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     tensors = M.named_parameters(ckpt.model)
     header = {
         "magic": _MAGIC,
-        "format_version": ckpt.format_version,
+        "format_version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(ckpt.config),
         "rng": {"seed": ckpt.rng.seed, "counter": ckpt.rng.counter},
         "epoch": ckpt.epoch,
@@ -233,26 +233,20 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         towers = {k: M.TowerSpec(**header["config"][k]) for k in ("user_tower", "item_tower")}
         config = TrainConfig(**{**header["config"], **towers})
+        # the manifest and the file's length must fit the config before allocating
+        layout = [(n, s) for n, s, _ in M.model_layout(config.user_tower, config.item_tower)]
+        if [(t["name"], tuple(t["shape"])) for t in header["tensors"]] != layout:
+            raise ValueError("the tensor manifest does not list the config's parameters in order")
+        listed, held = 8 * sum(math.prod(s) for _, s in layout), len(blob) - nl - 1
+        if held != listed:
+            what = "truncated" if held < listed else "trailing bytes after"
+            raise ValueError(f"{what} tensor sections: {held} bytes, the manifest lists {listed}")
         model = build_model(config, RngState(config.seed))
     except ValueError as e:
-        raise DataError(f"{path}: invalid checkpoint header: {e}") from None
-
-    tensors = M.named_parameters(model)
-    manifest = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-    if manifest != [(n, p.value.shape) for n, p in tensors]:
-        raise DataError(f"{path}: tensor manifest does not list the config's parameters in order")
-    offset = nl + 1
-    for name, p in tensors:
-        nbytes = p.value.size * 8
-        section = blob[offset : offset + nbytes]
-        if len(section) != nbytes:
-            raise DataError(f"{path}: truncated tensor section {name!r}")
-        p.value[...] = np.frombuffer(section, dtype="<f8").reshape(p.value.shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise DataError(f"{path}: {len(blob) - offset} trailing bytes after tensor sections")
-
-    return Checkpoint(
-        config, model, RngState(**header["rng"]), header["epoch"], header["loss_history"],
-        header["format_version"],
-    )
+        raise DataError(f"{path}: invalid checkpoint: {e}") from None
+    values = np.frombuffer(blob, dtype="<f8", offset=nl + 1)
+    for _, p in M.named_parameters(model):
+        p.value[...] = values[: p.value.size].reshape(p.value.shape)
+        values = values[p.value.size :]
+    rng = RngState(**header["rng"])
+    return Checkpoint(config, model, rng, header["epoch"], header["loss_history"])

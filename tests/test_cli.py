@@ -1,5 +1,7 @@
 """End-to-end CLI tests: every subcommand plus the exit-code contract."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -41,6 +43,16 @@ def ckpt_file(tmp_path, corpus_dir, pairs_file):
     ])
     assert code == 0
     return out
+
+
+def rewrite_cell(path, line, col, text):
+    """Gives one cell of a CSV file new text; a lone surrogate in the text
+    becomes the raw byte it escapes, so the file need not be UTF-8."""
+    rows = list(csv.reader(io.StringIO(path.read_text(encoding="utf-8"), newline="")))
+    rows[line - 1][col] = text
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    path.write_bytes(out.getvalue().encode("utf-8", "surrogateescape"))
 
 
 class TestSynth:
@@ -89,6 +101,21 @@ class TestBuildPairs:
             str(tmp_path / "p.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("name, line, col, text", [
+        ("users.csv", 3, -1, "x"),
+        ("items.csv", 2, 3, "0.5\udcff"),
+        ("items.csv", 2, 2, "1" * 200_000),
+        ("users.csv", 2, 0, "99999999999999999999"),
+    ], ids=["tag-not-an-integer", "byte-not-utf8", "field-over-csv-limit", "id-outside-int64"])
+    def test_csv_defect_exits_2_naming_the_file(self, tmp_path, corpus_dir, capsys,
+                                                name, line, col, text):
+        rewrite_cell(corpus_dir / name, line, col, text)
+        code = run([
+            "build-pairs", "--corpus", str(corpus_dir), "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 2
+        assert str(corpus_dir / name) in capsys.readouterr().err
 
 
 class TestTrain:
@@ -147,6 +174,18 @@ class TestEval:
     def test_defective_checkpoint_exits_2(self, corpus_dir, ckpt_file, break_checkpoint,
                                           capsys):
         break_checkpoint(ckpt_file)
+        code = run([
+            "eval", "--ckpt", str(ckpt_file), "--corpus", str(corpus_dir), "--k", "3",
+        ])
+        assert code == 2
+        assert str(ckpt_file) in capsys.readouterr().err
+
+    def test_header_claiming_a_huge_tower_exits_2(self, corpus_dir, ckpt_file,
+                                                  checkpoint_parts, capsys):
+        split, join = checkpoint_parts
+        header, sections = split(ckpt_file.read_bytes())
+        header["config"]["item_tower"]["input_dim"] = 10**12
+        ckpt_file.write_bytes(join(header, sections))
         code = run([
             "eval", "--ckpt", str(ckpt_file), "--corpus", str(corpus_dir), "--k", "3",
         ])

@@ -1,9 +1,14 @@
 """Data-layer tests: CSV round trips and diagnostics, synthetic corpus
 properties, triplet assembly under all three pairing regimes, splitting."""
 
+import csv
+import io
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletrec.data import (
     DataError,
@@ -130,6 +135,47 @@ class TestTripletsFile:
         )
         with pytest.raises(DataError, match="label"):
             load_triplets(tmp_path / "t.csv")
+
+
+@pytest.fixture(scope="module")
+def saved_files(tmp_path_factory):
+    """A small corpus and its pairs file as saved, and a directory to corrupt
+    copies of them in."""
+    store = generate_synthetic(SynthConfig(num_tags=2, users_per_tag=2, items_per_tag=2,
+                                           seed=3, frames=1, frame_dim=3))
+    saved = tmp_path_factory.mktemp("saved")
+    save_corpus(store, saved)
+    save_triplets(build_triplets(store, PairingStrategy.unbalanced(), seed=3), saved / "pairs.csv")
+    files = {name: (saved / name).read_bytes() for name in ("users.csv", "items.csv", "pairs.csv")}
+    return files, tmp_path_factory.mktemp("corrupted")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_corrupted_csv_loads_or_raises_data_error(data, saved_files):
+    files, out = saved_files
+    files = dict(files)
+    name = data.draw(st.sampled_from(sorted(files)))
+    if data.draw(st.booleans()):  # one cell becomes arbitrary text
+        rows = list(csv.reader(io.StringIO(files[name].decode("utf-8"), newline="")))
+        line = data.draw(st.integers(0, len(rows) - 1))
+        col = data.draw(st.integers(0, len(rows[line]) - 1))
+        rows[line][col] = data.draw(st.text())
+        text = io.StringIO()
+        csv.writer(text).writerows(rows)
+        files[name] = text.getvalue().encode("utf-8")
+    else:  # one byte becomes an arbitrary byte
+        at = data.draw(st.integers(0, len(files[name]) - 1))
+        byte = data.draw(st.binary(min_size=1, max_size=1))
+        files[name] = files[name][:at] + byte + files[name][at + 1 :]
+    for n, blob in files.items():
+        (out / n).write_bytes(blob)
+    for load in (lambda: load_corpus(out / "users.csv", out / "items.csv"),
+                 lambda: load_triplets(out / "pairs.csv")):
+        try:
+            load()
+        except DataError:
+            pass
 
 
 class TestGenerateSynthetic:

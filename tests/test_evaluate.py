@@ -324,8 +324,9 @@ class TestEvalReport:
             return tower_forward(tower, x, *args, **kwargs)
 
         monkeypatch.setattr(M, "tower_forward", counting)
-        evaluate_model(model, store, k=5)
-        assert sum(item_rows) == 2 * store.n_items
+        triplets = build_triplets(store, PairingStrategy.unbalanced(), seed=16)
+        evaluate_model(model, store, triplets, k=5)
+        assert sum(item_rows) == 3 * store.n_items
 
 
 @pytest.mark.parametrize("first", ["tripletrec.train", "tripletrec.evaluate"])
