@@ -32,11 +32,13 @@ from .nn import (
     bce_loss_from_logit,
     dropout_backward,
     dropout_forward,
-    glorot_uniform,
+    glorot_fill,
     layer_norm_backward,
     layer_norm_forward,
     linear_backward,
     linear_forward,
+    linear_param_backward,
+    param_arena,
     relu_backward,
     relu_forward,
     sigmoid_stable,
@@ -114,15 +116,30 @@ def tower_layout(spec: TowerSpec) -> list[tuple[str, str, int, tuple[int, int]]]
     return out
 
 
-def init_tower(spec: TowerSpec, rng: RngState) -> TowerParams:
-    """Glorot-uniform weights, zero biases, identity normalization."""
-    gen = rng.next_generator()
-    init = {"weights": lambda shape: glorot_uniform(*shape, gen), "biases": np.zeros,
-            "gains": np.ones, "shifts": np.zeros}
-    fields = {f: [] for f in init}
-    for _, f, _, shape in tower_layout(spec):
-        fields[f].append(ParamTensor(init[f](shape)))
+def _tower_of(spec: TowerSpec, parts) -> TowerParams:
+    """The tower whose tensors, in tower_layout order, are the next ones
+    ``parts`` yields."""
+    fields = {"weights": [], "biases": [], "gains": [], "shifts": []}
+    for (_, f, _, _), part in zip(tower_layout(spec), parts):
+        fields[f].append(part)
     return TowerParams(spec, **fields)
+
+
+def _init_tower_values(tower: TowerParams, rng: RngState) -> None:
+    """Glorot-uniform weights and identity normalization over zero tensors."""
+    gen = rng.next_generator()
+    for w in tower.weights:
+        glorot_fill(w.value, gen)
+    for gain in tower.gains:
+        gain.value[...] = 1.0
+
+
+def init_tower(spec: TowerSpec, rng: RngState) -> TowerParams:
+    """Glorot-uniform weights, zero biases, identity normalization, held in an
+    arena of the tower's own."""
+    tower = _tower_of(spec, param_arena([shape for *_, shape in tower_layout(spec)]))
+    _init_tower_values(tower, rng)
+    return tower
 
 
 @dataclass
@@ -139,14 +156,6 @@ class DistanceHeadParams:
 
     def parameters(self) -> list[ParamTensor]:
         return [self.weight, self.bias]
-
-
-def init_head(latent_dim: int, rng: RngState) -> DistanceHeadParams:
-    gen = rng.next_generator()
-    return DistanceHeadParams(
-        weight=ParamTensor(glorot_uniform(latent_dim, 1, gen).T),
-        bias=ParamTensor.zeros(1, 1),
-    )
 
 
 @dataclass
@@ -169,17 +178,31 @@ class TripletModelParams:
         ]
 
 
-def init_model(user_spec: TowerSpec, item_spec: TowerSpec, rng: RngState) -> TripletModelParams:
+def allocate_model(user_spec: TowerSpec, item_spec: TowerSpec) -> TripletModelParams:
+    """A model of these shapes with every parameter zero, all of them parts of
+    one arena in model_layout order (so the arena's value buffer is the
+    checkpoint's tensor section). Draws nothing."""
     if user_spec.output_dim != item_spec.output_dim:
         raise ValueError(
             f"towers must share the latent dimension, got "
             f"{user_spec.output_dim} vs {item_spec.output_dim}"
         )
+    parts = iter(param_arena([shape for _, shape, _ in model_layout(user_spec, item_spec)]))
     return TripletModelParams(
-        user_tower=init_tower(user_spec, rng),
-        item_tower=init_tower(item_spec, rng),
-        head=init_head(user_spec.output_dim, rng),
+        user_tower=_tower_of(user_spec, parts),
+        item_tower=_tower_of(item_spec, parts),
+        head=DistanceHeadParams(next(parts), next(parts)),
     )
+
+
+def init_model(user_spec: TowerSpec, item_spec: TowerSpec, rng: RngState) -> TripletModelParams:
+    """Glorot-initialised towers (user, then item, as init_tower does) and
+    head over one arena; each takes the next generator of ``rng``."""
+    model = allocate_model(user_spec, item_spec)
+    _init_tower_values(model.user_tower, rng)
+    _init_tower_values(model.item_tower, rng)
+    glorot_fill(model.head.weight.value.T, rng.next_generator())
+    return model
 
 
 def model_layout(user_spec: TowerSpec, item_spec: TowerSpec) -> list[tuple[str, tuple, tuple]]:
@@ -229,16 +252,23 @@ def tower_forward(tower: TowerParams, x: Array, training: bool = False, rng: Rng
     return z, (hidden_caches, final_cache)
 
 
-def tower_backward(tower: TowerParams, d_z: Array, caches) -> Array:
+def tower_backward(tower: TowerParams, d_z: Array, caches) -> None:
+    """Backpropagate ``d_z``, the loss gradient at the tower's output, adding
+    every layer's parameter gradients to its tensors. Nothing reads the
+    gradient at the tower's input, so the first linear layer adds only its
+    weight and bias gradients, ``d_out @ W.T`` is never formed and the
+    function returns None."""
     hidden_caches, final_cache = caches
     d = linear_backward(d_z, final_cache)
-    for lin_cache, norm_cache, relu_cache, drop_mask in reversed(hidden_caches):
+    for i in reversed(range(len(hidden_caches))):
+        lin_cache, norm_cache, relu_cache, drop_mask = hidden_caches[i]
         d = dropout_backward(d, drop_mask)
         d = relu_backward(d, relu_cache)
         if norm_cache is not None:
             d = layer_norm_backward(d, norm_cache)
-        d = linear_backward(d, lin_cache)
-    return d
+        if i:
+            d = linear_backward(d, lin_cache)
+    linear_param_backward(d, hidden_caches[0][0])
 
 
 def embed_user(tower: TowerParams, u: Array, training: bool = False, rng: RngState | None = None) -> Array:

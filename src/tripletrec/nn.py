@@ -5,7 +5,9 @@ Everything operates on 2-D float64 numpy arrays (batch rows, feature columns).
 Each operation is a forward/backward pair: the forward returns
 ``(output, cache)``, the backward consumes the upstream gradient and the
 cache, accumulates parameter gradients in place on the owning
-:class:`ParamTensor`, and returns the gradient with respect to the input.
+:class:`ParamTensor`, and returns the gradient with respect to the input
+(:func:`linear_param_backward`, for a layer whose input gradient nothing
+reads, returns nothing).
 Accumulation (``+=``) is deliberate: parameters referenced from several
 branches of a network collect contributions from every branch.
 """
@@ -53,43 +55,84 @@ class RngState:
 class ParamTensor:
     """A trainable tensor: value plus gradient and Adam moment buffers.
 
-    All four arrays always share one shape. ``grad`` is accumulated by
-    backward passes and must be cleared with :func:`zero_grads` between
-    optimizer steps.
+    All four arrays share one shape and are C-contiguous float64. ``grad``
+    is accumulated by backward passes and must be cleared with
+    :func:`zero_grads` between optimizer steps.
+
+    :func:`param_arena` lays tensors end to end in one flat tensor, their
+    arena: each one's four arrays are reshaped views of the arena's, and its
+    ``arena`` is that flat tensor. Writing through either writes both. (The arena keeps no
+    list of its parts, so a dropped model is freed at once, with no
+    reference cycle left for the garbage collector.)
     """
 
     value: Array
     grad: Array | None = None
     moment1: Array | None = None
     moment2: Array | None = None
+    arena: ParamTensor | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
-        if self.grad is None:
-            self.grad = np.zeros(self.value.shape)
-        if self.moment1 is None:
-            self.moment1 = np.zeros(self.value.shape)
-        if self.moment2 is None:
-            self.moment2 = np.zeros(self.value.shape)
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "ParamTensor":
-        return cls(np.zeros((rows, cols)))
+        self.grad, self.moment1, self.moment2 = (
+            np.zeros(self.value.shape) if buf is None
+            else np.ascontiguousarray(buf, dtype=np.float64)
+            for buf in (self.grad, self.moment1, self.moment2)
+        )
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
 
+def param_arena(shapes) -> list[ParamTensor]:
+    """Zero tensors of the given shapes, in order, laid end to end in one
+    fresh 1-D arena. Its four buffers come from ``np.zeros``, so pages
+    nothing writes cost no memory."""
+    sizes = [math.prod(shape) for shape in shapes]
+    arena = ParamTensor(np.zeros(sum(sizes)))
+    buffers = (arena.value, arena.grad, arena.moment1, arena.moment2)
+    parts, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        part = ParamTensor(*(buf[start : start + size].reshape(shape) for buf in buffers))
+        part.arena = arena
+        parts.append(part)
+        start += size
+    return parts
+
+
+def fuse(params) -> list[ParamTensor]:
+    """``[arena]`` when ``params`` are distinct parts of one arena that cover
+    it, in any order; otherwise ``params`` as a list. Adam and zeroing act
+    elementwise, so doing either to the arena does it to each part."""
+    params = list(params)
+    arena = params[0].arena if params else None
+    if (
+        arena is not None
+        and all(p.arena is arena for p in params)
+        and len({id(p) for p in params}) == len(params)
+        and sum(p.value.size for p in params) == arena.value.size
+    ):
+        return [arena]
+    return params
+
+
 def zero_grads(params) -> None:
-    for p in params:
-        p.grad[...] = 0.0
+    """Clear the gradients; the parts of one arena take one ``fill``."""
+    for p in fuse(params):
+        p.grad.fill(0.0)
 
 
-def glorot_uniform(d_in: int, d_out: int, gen: np.random.Generator) -> Array:
-    """Uniform init in +-sqrt(6/(d_in+d_out))."""
+def glorot_fill(w: Array, gen: np.random.Generator) -> None:
+    """Fill ``w`` of shape (d_in, d_out) in place with uniform draws in
+    +-sqrt(6/(d_in+d_out)). Rows are drawn a block of about 32k elements at
+    a time, so no full-size temporary is made; the draws, in row-major
+    order, are those of one ``gen.uniform`` call over the whole shape."""
+    d_in, d_out = w.shape
     limit = math.sqrt(6.0 / (d_in + d_out))
-    return gen.uniform(-limit, limit, size=(d_in, d_out))
+    rows = max(1, 32768 // d_out)
+    for r in range(0, d_in, rows):
+        w[r : r + rows] = gen.uniform(-limit, limit, size=w[r : r + rows].shape)
 
 
 # ---------------------------------------------------------------------------
@@ -114,10 +157,16 @@ def linear_forward(x: Array, w: ParamTensor, b: ParamTensor):
 
 
 def linear_backward(d_out: Array, cache) -> Array:
+    linear_param_backward(d_out, cache)
+    return d_out @ cache[1].value.T
+
+
+def linear_param_backward(d_out: Array, cache) -> None:
+    """The weight and bias half of :func:`linear_backward`, for a layer whose
+    input gradient nothing reads."""
     x, w, b = cache
     w.grad += x.T @ d_out
     b.grad += d_out.sum(axis=0, keepdims=True)
-    return d_out @ w.value.T
 
 
 def relu_forward(x: Array):
@@ -215,6 +264,11 @@ def bce_loss_from_logit(logit, label):
 # ---------------------------------------------------------------------------
 
 
+# Elements per Adam pass: the chunk's slices of the four buffers and the two
+# scratch buffers stay in cache.
+ADAM_CHUNK = 32768
+
+
 def adam_step(
     params,
     lr: float = 1e-3,
@@ -224,20 +278,40 @@ def adam_step(
 ) -> None:
     """One Adam update with bias correction, in place. ``step`` is 1-based.
 
-    Gradients are left untouched; the caller zeroes them between steps.
+    The parts of one arena are updated as the arena (see :func:`fuse`). Each
+    tensor is walked ADAM_CHUNK elements at a time with in-place ufuncs and
+    two scratch buffers, no full-size temporaries, in the operation order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    value -= lr*(m/c1) / (sqrt(v/c2) + eps), so the result is bit-identical
+    to that formula evaluated tensor by tensor. Gradients are left untouched;
+    the caller zeroes them between steps.
     """
+    if step < 1:
+        raise ValueError(f"adam_step: step is 1-based, got {step}")
     b1, b2 = betas
     c1 = 1.0 - b1 ** step
     c2 = 1.0 - b2 ** step
+    params = fuse(params)
+    n = min(ADAM_CHUNK, max((p.value.size for p in params), default=0))
+    scratch_a, scratch_b = np.empty(n), np.empty(n)
     for p in params:
-        g = p.grad
-        p.moment1 *= b1
-        p.moment1 += (1.0 - b1) * g
-        p.moment2 *= b2
-        p.moment2 += (1.0 - b2) * (g * g)
-        m_hat = p.moment1 / c1
-        v_hat = p.moment2 / c2
-        p.value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        flat = [buf.reshape(-1) for buf in (p.value, p.grad, p.moment1, p.moment2)]
+        for start in range(0, flat[0].size, ADAM_CHUNK):
+            value, g, m, v = (buf[start : start + ADAM_CHUNK] for buf in flat)
+            a, b = scratch_a[: g.size], scratch_b[: g.size]
+            m *= b1
+            m += np.multiply(g, 1.0 - b1, out=a)
+            v *= b2
+            np.multiply(g, g, out=a)
+            a *= 1.0 - b2
+            v += a
+            np.divide(m, c1, out=a)
+            a *= lr
+            np.divide(v, c2, out=b)
+            np.sqrt(b, out=b)
+            b += eps
+            a /= b
+            value -= a
 
 
 # ---------------------------------------------------------------------------

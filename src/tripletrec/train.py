@@ -65,12 +65,16 @@ class Checkpoint:
     loss_history: list[float]
 
 
+def _tower_specs(config: TrainConfig) -> tuple[M.TowerSpec, M.TowerSpec]:
+    """The user and item tower specs, with the config's dropout on both."""
+    return tuple(dataclasses.replace(spec, dropout_p=config.dropout_p)
+                 for spec in (config.user_tower, config.item_tower))
+
+
 def build_model(config: TrainConfig, rng: RngState) -> M.TripletModelParams:
     """Fresh towers/head per the config; the config's dropout applies to
     both towers."""
-    user_spec = dataclasses.replace(config.user_tower, dropout_p=config.dropout_p)
-    item_spec = dataclasses.replace(config.item_tower, dropout_p=config.dropout_p)
-    return M.init_model(user_spec, item_spec, rng)
+    return M.init_model(*_tower_specs(config), rng)
 
 
 def train(
@@ -202,7 +206,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for _, p in tensors:
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(p.value, dtype="<f8"))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -241,12 +245,10 @@ def load_checkpoint(path) -> Checkpoint:
         if held != listed:
             what = "truncated" if held < listed else "trailing bytes after"
             raise ValueError(f"{what} tensor sections: {held} bytes, the manifest lists {listed}")
-        model = build_model(config, RngState(config.seed))
+        model = M.allocate_model(*_tower_specs(config))
     except ValueError as e:
         raise DataError(f"{path}: invalid checkpoint: {e}") from None
-    values = np.frombuffer(blob, dtype="<f8", offset=nl + 1)
-    for _, p in M.named_parameters(model):
-        p.value[...] = values[: p.value.size].reshape(p.value.shape)
-        values = values[p.value.size :]
+    # every tensor is a part of one arena laid out in manifest order
+    model.head.bias.arena.value[...] = np.frombuffer(blob, dtype="<f8", offset=nl + 1)
     rng = RngState(**header["rng"])
     return Checkpoint(config, model, rng, header["epoch"], header["loss_history"])

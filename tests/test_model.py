@@ -9,10 +9,12 @@ import numpy.testing as npt
 import pytest
 
 from tripletrec import model as M
+from tripletrec import nn as N
 from tripletrec.nn import (
     NORM_VAR_FLOOR,
     ParamTensor,
     RngState,
+    adam_step,
     grad_check,
     zero_grads,
 )
@@ -393,3 +395,102 @@ class TestWeightSharing:
         assert np.array_equal(
             M.embed_item(m.item_tower, x), M.embed_item(m.item_tower, x)
         )
+
+
+class TestArena:
+    def test_every_tensor_is_a_view_of_the_arena_in_layout_order(self):
+        m = tiny_model(seed=73)
+        arena = m.head.bias.arena
+        named = M.named_parameters(m)
+        assert [n for n, _ in named] == [
+            n for n, _, _ in M.model_layout(m.user_tower.spec, m.item_tower.spec)
+        ]
+        start = 0
+        for _, p in named:
+            assert p.arena is arena
+            for buf, whole in ((p.value, arena.value), (p.grad, arena.grad),
+                               (p.moment1, arena.moment1), (p.moment2, arena.moment2)):
+                assert np.shares_memory(buf, whole)
+                assert buf.ctypes.data == whole.ctypes.data + 8 * start
+            start += p.value.size
+        assert start == arena.value.size
+
+    def test_adam_equals_the_per_tensor_formula_bit_for_bit(self):
+        # w0 of the item tower (300 x 128) spans more than one Adam chunk
+        m = tiny_model(seed=79, item_dim=300, hidden=(128, 8))
+        assert m.item_tower.weights[0].value.size > N.ADAM_CHUNK
+        params = m.parameters()
+        ref = [[p.value.copy(), np.zeros(p.shape), np.zeros(p.shape)] for p in params]
+        gen = np.random.default_rng(14)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        for step in (1, 2, 3):
+            for p in params:
+                p.grad[...] = gen.normal(size=p.shape)
+            adam_step(params, lr=lr, betas=(b1, b2), eps=eps, step=step)
+            for p, (value, m1, m2) in zip(params, ref):
+                g = p.grad
+                m1 *= b1
+                m1 += (1.0 - b1) * g
+                m2 *= b2
+                m2 += (1.0 - b2) * (g * g)
+                m_hat = m1 / (1.0 - b1 ** step)
+                v_hat = m2 / (1.0 - b2 ** step)
+                value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p, (value, m1, m2) in zip(params, ref):
+            assert np.array_equal(p.value.view(np.int64), value.view(np.int64))
+            assert np.array_equal(p.moment1.view(np.int64), m1.view(np.int64))
+            assert np.array_equal(p.moment2.view(np.int64), m2.view(np.int64))
+
+
+def reference_tower_backward(tower, d_z, caches):
+    """Every layer's full linear backward, the first layer's input gradient
+    included, as an independent statement of the tower's backward pass."""
+    hidden_caches, (x, w, b) = caches
+    w.grad += x.T @ d_z
+    b.grad += d_z.sum(axis=0, keepdims=True)
+    d = d_z @ w.value.T
+    for (x, w, b), norm_cache, relu_cache, mask in reversed(hidden_caches):
+        d = N.dropout_backward(d, mask)
+        d = d * (relu_cache > 0.0)
+        if norm_cache is not None:
+            d = N.layer_norm_backward(d, norm_cache)
+        w.grad += x.T @ d
+        b.grad += d.sum(axis=0, keepdims=True)
+        d = d @ w.value.T
+    return d
+
+
+class TestTowerBackward:
+    @pytest.mark.parametrize("kind", ["triplet", "twonet"])
+    def test_parameter_gradients_equal_the_full_backward(self, kind, monkeypatch):
+        gen = np.random.default_rng(15)
+        u = gen.normal(size=(6, 3))
+        xi = gen.normal(size=(6, 5))
+        xj = gen.normal(size=(6, 5))
+        labels = gen.integers(0, 2, size=6).astype(float)
+
+        def grads():
+            m = tiny_model(seed=83, hidden=(6, 5, 4), dropout=0.2)
+            if kind == "triplet":
+                M.triplet_loss_and_grads(m, u, xi, xj, labels, training=True, rng=RngState(5))
+            else:
+                M.twonet_loss_and_grads(m, u, xi, labels, training=True, rng=RngState(5))
+            return [p.grad.copy() for p in m.parameters()]
+
+        got = grads()
+        monkeypatch.setattr(M, "tower_backward", reference_tower_backward)
+        want = grads()
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert any(a.any() for a in got)
+
+    def test_first_layer_input_gradient_is_not_computed(self, monkeypatch):
+        m = tiny_model(seed=89, hidden=(6, 5, 4))
+        calls = []
+        real = M.linear_backward
+        monkeypatch.setattr(M, "linear_backward", lambda d, c: calls.append(c) or real(d, c))
+        z, caches = M.tower_forward(m.item_tower, np.ones((2, 5)))
+        assert M.tower_backward(m.item_tower, np.ones_like(z), caches) is None
+        # four linear layers, the first of which skips linear_backward
+        assert len(calls) == len(m.item_tower.weights) - 1 == 3
+        assert all(c[1] is not m.item_tower.weights[0] for c in calls)
+        assert m.item_tower.weights[0].grad.any()

@@ -1,7 +1,9 @@
 """Unit tests for the numeric core: layer ops, losses, optimizer, RNG, and
 the finite-difference checker that the rest of the suite leans on."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
@@ -9,13 +11,15 @@ import pytest
 
 from tripletrec.nn import (
     ParamTensor,
+    fuse,
+    param_arena,
     RngState,
     adam_step,
     bce_loss,
     bce_loss_from_logit,
     dropout_backward,
     dropout_forward,
-    glorot_uniform,
+    glorot_fill,
     grad_check,
     layer_norm_forward,
     linear_forward,
@@ -205,6 +209,79 @@ class TestAdam:
             zero_grads([p1, p2])
         assert np.array_equal(p1.value, p2.value)
 
+    @pytest.mark.parametrize("step", [0, -1])
+    def test_step_below_one_is_rejected(self, step):
+        # step 0 would make the bias correction 1 - b1**0 = 0 and write NaN
+        p = pt([[1.0, 2.0]])
+        p.grad[...] = 0.5
+        with pytest.raises(ValueError, match="1-based"):
+            adam_step([p], step=step)
+        npt.assert_array_equal(p.value, [[1.0, 2.0]])
+
+    def test_empty_parameter_list_is_a_no_op(self):
+        adam_step([], step=1)
+        zero_grads([])
+
+
+class TestArena:
+    SHAPES = [(2, 3), (1, 3), (4,), (1, 1)]
+
+    def test_parts_are_views_laid_end_to_end(self):
+        parts = param_arena(self.SHAPES)
+        arena = parts[0].arena
+        assert arena.shape == (6 + 3 + 4 + 1,)
+        assert [p.shape for p in parts] == self.SHAPES
+        start = 0
+        for p in parts:
+            assert p.arena is arena
+            for buf, whole in ((p.value, arena.value), (p.grad, arena.grad),
+                               (p.moment1, arena.moment1), (p.moment2, arena.moment2)):
+                assert buf.base is whole
+                assert buf.ctypes.data == whole.ctypes.data + 8 * start
+            start += p.value.size
+        for i, p in enumerate(parts):
+            p.value[...] = i + 1
+        assert arena.value.tolist() == [1.0] * 6 + [2.0] * 3 + [3.0] * 4 + [4.0]
+
+    def test_fuse_takes_distinct_parts_covering_the_arena_in_any_order(self):
+        parts = param_arena(self.SHAPES)
+        arena = parts[0].arena
+        assert fuse(parts)[0] is arena and fuse(reversed(parts))[0] is arena
+        # a subset, a duplicate or a foreign tensor is kept tensor by tensor
+        for params in (parts[:-1], parts[:-1] + parts[:1], parts[:-1] + [pt([[0.0]])]):
+            assert all(a is b for a, b in zip(fuse(params), params, strict=True))
+        assert fuse([]) == []
+
+    def test_a_dropped_arena_is_freed_without_the_garbage_collector(self):
+        parts = param_arena(self.SHAPES)
+        ref = weakref.ref(parts[0].arena)
+        gc.disable()
+        try:
+            del parts
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_zero_grads_clears_every_part(self):
+        parts = param_arena(self.SHAPES)
+        parts[0].arena.grad[...] = 3.0
+        zero_grads(parts)
+        assert not parts[0].arena.grad.any()
+
+    def test_arena_update_equals_the_update_of_each_part(self):
+        gen = np.random.default_rng(4)
+        parts = param_arena(self.SHAPES)
+        loose = [pt(gen.normal(size=s)) for s in self.SHAPES]
+        for p, q in zip(parts, loose):
+            p.value[...] = q.value
+        for step in (1, 2, 3):
+            for p, q in zip(parts, loose):
+                p.grad[...] = q.grad[...] = gen.normal(size=q.shape)
+            adam_step(parts, lr=0.01, step=step)
+            adam_step(loose, lr=0.01, step=step)
+        for p, q in zip(parts, loose):
+            assert np.array_equal(p.value.view(np.int64), q.value.view(np.int64))
+
 
 class TestGradCheck:
     def test_quadratic(self):
@@ -344,12 +421,28 @@ class TestRngState:
 
 class TestGlorot:
     def test_bounds_and_determinism(self):
-        gen = np.random.default_rng(0)
-        w = glorot_uniform(30, 20, gen)
+        w = np.empty((30, 20))
+        glorot_fill(w, np.random.default_rng(0))
         limit = math.sqrt(6.0 / 50)
         assert np.all(np.abs(w) <= limit)
-        w2 = glorot_uniform(30, 20, np.random.default_rng(0))
+        w2 = np.empty((30, 20))
+        glorot_fill(w2, np.random.default_rng(0))
         assert np.array_equal(w, w2)
+
+    @pytest.mark.parametrize("shape", [(5000, 16), (3, 40000), (16, 1)])
+    def test_draws_are_those_of_one_uniform_call(self, shape):
+        # (5000, 16) is filled in three row blocks, (3, 40000) one row at a time
+        w = np.empty(shape)
+        glorot_fill(w, np.random.default_rng(3))
+        limit = math.sqrt(6.0 / sum(shape))
+        want = np.random.default_rng(3).uniform(-limit, limit, size=shape)
+        assert np.array_equal(w.view(np.int64), want.view(np.int64))
+
+    def test_fills_a_transposed_view(self):
+        w = np.zeros((1, 7))
+        glorot_fill(w.T, np.random.default_rng(4))
+        limit = math.sqrt(6.0 / 8)
+        assert np.array_equal(w.T, np.random.default_rng(4).uniform(-limit, limit, size=(7, 1)))
 
 
 class TestFiniteness:

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletrec import model as M
+from tripletrec import nn as N
 from tripletrec.data import (
     DataError,
     PairingStrategy,
@@ -193,6 +194,24 @@ class TestCheckpoint:
         save_checkpoint(ckpt, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_tensor_section_is_the_arena_value_buffer(self, corpus, tmp_path):
+        store, triplets = corpus
+        ckpt = train(store, triplets, tiny_config(), log_stream=io.StringIO())
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        blob = (tmp_path / "m.ckpt").read_bytes()
+        assert blob[blob.index(b"\n") + 1 :] == ckpt.model.head.bias.arena.value.tobytes()
+
+    def test_load_draws_no_random_numbers(self, saved_checkpoint, tmp_path, monkeypatch):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("load_checkpoint drew random numbers")
+
+        for owner in (N, M):
+            monkeypatch.setattr(owner, "glorot_fill", no_draws)
+        monkeypatch.setattr(N.RngState, "next_generator", no_draws)
+        loaded = load_checkpoint(saved_checkpoint)
+        save_checkpoint(loaded, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == saved_checkpoint.read_bytes()
 
     def test_round_trip_preserves_everything(self, corpus, tmp_path):
         store, triplets = corpus
