@@ -60,8 +60,8 @@ top = M.rank_items_for_user(
     ckpt.model, store.user_topics[0], store.item_ids, store.item_features, 5
 )
 print(f"\nnearest items for user {uid} (dominant tag {user_tag}):")
-for rank, iid in enumerate(top, 1):
-    print(f"  {rank}. item {int(iid)} tag={store.item(int(iid)).tag}")
+for rank, (iid, tag) in enumerate(zip(top, store.item_tags[store.item_rows(top)]), 1):
+    print(f"  {rank}. item {int(iid)} tag={int(tag)}")
 
 # item -> item retrieval in the shared latent space, query excluded
 qid = int(store.item_ids[0])
@@ -69,6 +69,6 @@ neighbours = M.rank_items_for_item(
     ckpt.model, store.item_features[0], store.item_ids, store.item_features,
     5, exclude_ids=(qid,),
 )
-print(f"\nnearest neighbours of item {qid} (tag {store.item(qid).tag}):")
-for rank, iid in enumerate(neighbours, 1):
-    print(f"  {rank}. item {int(iid)} tag={store.item(int(iid)).tag}")
+print(f"\nnearest neighbours of item {qid} (tag {int(store.item_tags[0])}):")
+for rank, (iid, tag) in enumerate(zip(neighbours, store.item_tags[store.item_rows(neighbours)]), 1):
+    print(f"  {rank}. item {int(iid)} tag={int(tag)}")

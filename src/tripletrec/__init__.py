@@ -6,11 +6,8 @@ tooling on top of a small hand-rolled numpy autodiff core."""
 from .data import (
     DataError,
     FeatureStore,
-    ItemRecord,
     PairingStrategy,
     SynthConfig,
-    TripletExample,
-    UserRecord,
     build_triplets,
     generate_synthetic,
     load_corpus,
@@ -19,6 +16,7 @@ from .data import (
     save_corpus,
     save_triplets,
     split_train_test,
+    triplet_array,
 )
 from .evaluate import (
     EvalReport,

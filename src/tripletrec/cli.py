@@ -184,7 +184,6 @@ def _cmd_eval(args) -> int:
 def _cmd_retrieve(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     store = D.load_corpus_dir(args.corpus)
-    tag_of = {int(i): int(t) for i, t in zip(store.item_ids, store.item_tags)}
     if args.user is not None:
         row = store.user_row(args.user)
         ranked = M.rank_items_for_user(
@@ -202,8 +201,8 @@ def _cmd_retrieve(args) -> int:
             exclude_ids=(args.item,),
         )
         print(f"# nearest items for item {args.item} (tag {int(store.item_tags[row])})")
-    for rank, iid in enumerate(ranked, 1):
-        print(f"{rank}\t{int(iid)}\ttag={tag_of[int(iid)]}")
+    for rank, (iid, tag) in enumerate(zip(ranked, store.item_tags[store.item_rows(ranked)]), 1):
+        print(f"{rank}\t{int(iid)}\ttag={int(tag)}")
     return 0
 
 

@@ -11,6 +11,12 @@ File formats (UTF-8, '.' decimal separator):
 * triplets file: header ``user_id,item_i,item_j,label`` with label 0 for a
   (matching, non-matching) ordering and 1 for the reverse.
 
+In memory a triplet set is one numpy record array (``triplet_array``) with
+four int64 fields, ``user_id``, ``item_i_id``, ``item_j_id`` and ``label``:
+``triplets.user_id`` is a column, ``len(triplets)`` the count, and each row
+reads ``t.user_id`` and so on. Functions that take triplets map whole id
+columns to store rows with ``FeatureStore.user_rows`` and ``item_rows``.
+
 Loading gives exactly what was saved or raises DataError naming the file, the
 line and, for a bad cell, the column: bytes that are not UTF-8, CSV syntax
 errors, rows whose width differs from the header's, cells that are not finite
@@ -32,29 +38,15 @@ class DataError(ValueError):
     """Malformed corpus or triplet data; message carries the location."""
 
 
-@dataclass
-class UserRecord:
-    user_id: int
-    topic_vector: np.ndarray
-    dominant_tag: int
+_TRIPLET_DTYPE = np.dtype([(name, np.int64)
+                           for name in ("user_id", "item_i_id", "item_j_id", "label")])
 
 
-@dataclass
-class ItemRecord:
-    item_id: int
-    features: np.ndarray
-    tag: int
-
-
-@dataclass(frozen=True)
-class TripletExample:
-    """(user, item_i, item_j) plus the orientation label: 0 when item_i is
-    the item matching the user's dominant tag, 1 when item_j is."""
-
-    user_id: int
-    item_i_id: int
-    item_j_id: int
-    label: int
+def triplet_array(user_id, item_i_id, item_j_id, label) -> np.recarray:
+    """A triplet set from its four columns: one int64 record per (user,
+    item_i, item_j) plus the orientation label, 0 when item_i is the item
+    matching the user's dominant tag and 1 when item_j is."""
+    return np.rec.fromarrays([user_id, item_i_id, item_j_id, label], dtype=_TRIPLET_DTYPE)
 
 
 @dataclass(frozen=True)
@@ -122,12 +114,12 @@ class FeatureStore:
     item_ids: np.ndarray
     item_features: np.ndarray
     item_tags: np.ndarray
-    _user_row: dict = field(init=False, repr=False)
-    _item_row: dict = field(init=False, repr=False)
+    _user_order: np.ndarray = field(init=False, repr=False)  # argsort of the ids
+    _item_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._user_row = {int(uid): i for i, uid in enumerate(self.user_ids)}
-        self._item_row = {int(iid): i for i, iid in enumerate(self.item_ids)}
+        self._user_order = np.argsort(self.user_ids, kind="stable")
+        self._item_order = np.argsort(self.item_ids, kind="stable")
 
     @property
     def n_users(self) -> int:
@@ -137,33 +129,36 @@ class FeatureStore:
     def n_items(self) -> int:
         return len(self.item_ids)
 
+    def user_rows(self, user_ids) -> np.ndarray:
+        """Rows of an array of user ids, in its shape; DataError on an unknown one."""
+        return _rows(self.user_ids, self._user_order, user_ids, "user")
+
+    def item_rows(self, item_ids) -> np.ndarray:
+        """Rows of an array of item ids, in its shape; DataError on an unknown one."""
+        return _rows(self.item_ids, self._item_order, item_ids, "item")
+
     def user_row(self, user_id: int) -> int:
-        try:
-            return self._user_row[int(user_id)]
-        except KeyError:
-            raise DataError(f"unknown user id {user_id}") from None
+        return int(self.user_rows(user_id))
 
     def item_row(self, item_id: int) -> int:
-        try:
-            return self._item_row[int(item_id)]
-        except KeyError:
-            raise DataError(f"unknown item id {item_id}") from None
-
-    def user(self, user_id: int) -> UserRecord:
-        r = self.user_row(user_id)
-        return UserRecord(int(self.user_ids[r]), self.user_topics[r], int(self.user_tags[r]))
-
-    def item(self, item_id: int) -> ItemRecord:
-        r = self.item_row(item_id)
-        return ItemRecord(int(self.item_ids[r]), self.item_features[r], int(self.item_tags[r]))
+        return int(self.item_rows(item_id))
 
     def item_rows_by_tag(self) -> dict[int, np.ndarray]:
         return {int(t): np.flatnonzero(self.item_tags == t) for t in np.unique(self.item_tags)}
 
 
-def dominant_tag(topic_vector: np.ndarray) -> int:
-    """Argmax of the topic vector; ties resolve to the lowest index."""
-    return int(np.argmax(topic_vector))
+def _rows(ids: np.ndarray, order: np.ndarray, wanted, what: str) -> np.ndarray:
+    """Where each wanted id sits in ``ids`` (``order`` sorts them), or
+    DataError naming the first one that is not there."""
+    try:
+        wanted = np.asarray(wanted, dtype=np.int64)
+    except OverflowError:  # beyond int64, so no stored id
+        raise DataError(f"unknown {what} id {wanted}") from None
+    rows = order[np.searchsorted(ids, wanted, sorter=order).clip(max=len(ids) - 1)]
+    unknown = ids[rows] != wanted
+    if unknown.any():
+        raise DataError(f"unknown {what} id {wanted[unknown][0]}")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +237,7 @@ def load_corpus(users_path, items_path) -> FeatureStore:
     user_topics = _parse_columns(users, slice(1, topics_end), np.float64)
     if topics_end < len(header):
         user_tags = _parse_columns(users, slice(topics_end, None), np.int64)[:, 0]
-    else:  # dominant_tag of every row
+    else:  # each row's argmax; a tie goes to the lowest index
         user_tags = np.argmax(user_topics, axis=1).astype(np.int64)
 
     items = _read_table(items_path)
@@ -288,15 +283,14 @@ def save_corpus(store: FeatureStore, corpus_dir) -> None:
             )
 
 
-def save_triplets(triplets: list[TripletExample], path) -> None:
+def save_triplets(triplets: np.recarray, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["user_id", "item_i", "item_j", "label"])
-        for t in triplets:
-            w.writerow([t.user_id, t.item_i_id, t.item_j_id, t.label])
+        w.writerows(triplets.tolist())
 
 
-def load_triplets(path) -> list[TripletExample]:
+def load_triplets(path) -> np.recarray:
     table = _read_table(path)
     if table.header != ["user_id", "item_i", "item_j", "label"]:
         raise DataError(f"{path}: expected header user_id,item_i,item_j,label")
@@ -307,7 +301,7 @@ def load_triplets(path) -> list[TripletExample]:
     if bad.size:
         line, label = table.rows[bad[0]][0], cells[bad[0], 3]
         raise DataError(f"{path}: line {line}: label must be 0 or 1, got {label}")
-    return list(map(TripletExample, *cells.T.tolist()))
+    return triplet_array(*cells.T)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +355,7 @@ def generate_synthetic(config: SynthConfig) -> FeatureStore:
 # ---------------------------------------------------------------------------
 
 
-def build_triplets(store: FeatureStore, strategy: PairingStrategy, seed: int) -> list[TripletExample]:
+def build_triplets(store: FeatureStore, strategy: PairingStrategy, seed: int) -> np.recarray:
     """Pair each user's positives (items carrying the user's dominant tag)
     with negatives from other tags according to the strategy, then emit each
     triplet in a random orientation: (pos, neg, label 0) or (neg, pos,
@@ -410,66 +404,50 @@ def build_triplets(store: FeatureStore, strategy: PairingStrategy, seed: int) ->
                         (uid, pos_id, int(store.item_ids[n_row]), t, int(store.item_tags[n_row]))
                     )
 
+    base = np.array(base, dtype=np.int64).reshape(-1, 5)
     if strategy.variant == "balanced":
-        groups: dict[tuple[int, int], list[int]] = {}
-        for idx, (_, _, _, t, s) in enumerate(base):
-            groups.setdefault((t, s), []).append(idx)
-        m = min(len(v) for v in groups.values())
-        keep: list[int] = []
-        for key in sorted(groups):
-            idxs = groups[key]
-            if len(idxs) > m:
-                picked = gen.choice(len(idxs), size=m, replace=False)
-                keep.extend(idxs[i] for i in sorted(picked))
-            else:
-                keep.extend(idxs)
-        base = [base[i] for i in sorted(keep)]
+        # trim each (positive tag, negative tag) group, in sorted order, to
+        # the smallest group's size at random, keeping the triplet order
+        _, group, sizes = np.unique(base[:, 3:], axis=0, return_inverse=True, return_counts=True)
+        group, m = group.reshape(-1), sizes.min()
+        keep = np.ones(len(base), dtype=bool)
+        for g in np.flatnonzero(sizes > m):
+            idxs = np.flatnonzero(group == g)
+            keep[idxs] = False
+            keep[idxs[gen.choice(len(idxs), size=m, replace=False)]] = True
+        base = base[keep]
 
-    out = []
-    flips = gen.random(len(base)) < 0.5
-    for (uid, pos_id, neg_id, _, _), flip in zip(base, flips):
-        if flip:
-            out.append(TripletExample(uid, neg_id, pos_id, 1))
-        else:
-            out.append(TripletExample(uid, pos_id, neg_id, 0))
-    return out
+    uid, pos_id, neg_id = base[:, :3].T
+    flip = gen.random(len(base)) < 0.5
+    return triplet_array(uid, np.where(flip, neg_id, pos_id), np.where(flip, pos_id, neg_id), flip)
 
 
-def gather_triplet_rows(store: FeatureStore, triplets: list[TripletExample]):
+def gather_triplet_rows(store: FeatureStore, triplets: np.recarray):
     """Store rows (user, item_i, item_j) and float labels of each triplet."""
-    u = np.array([store.user_row(t.user_id) for t in triplets], dtype=np.intp)
-    i = np.array([store.item_row(t.item_i_id) for t in triplets], dtype=np.intp)
-    j = np.array([store.item_row(t.item_j_id) for t in triplets], dtype=np.intp)
-    labels = np.array([t.label for t in triplets], dtype=np.float64)
-    return u, i, j, labels
+    return (store.user_rows(triplets.user_id), store.item_rows(triplets.item_i_id),
+            store.item_rows(triplets.item_j_id), triplets.label.astype(np.float64))
 
 
 def pairs_from_triplets(
-    triplets: list[TripletExample], store: FeatureStore
+    triplets: np.recarray, store: FeatureStore
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten triplets into (user, item, match-label) examples for the
     two-branch baseline: each triplet yields its matching item with label 1
     and its non-matching item with label 0 — the same information the
     triplet model sees, presented pointwise."""
-    user_ids, item_ids, labels = [], [], []
-    for t in triplets:
-        pos, neg = (t.item_i_id, t.item_j_id) if t.label == 0 else (t.item_j_id, t.item_i_id)
-        user_ids.extend((t.user_id, t.user_id))
-        item_ids.extend((pos, neg))
-        labels.extend((1.0, 0.0))
-    return (
-        np.array(user_ids, dtype=np.int64),
-        np.array(item_ids, dtype=np.int64),
-        np.array(labels, dtype=np.float64),
-    )
+    first = triplets.label == 0
+    pos = np.where(first, triplets.item_i_id, triplets.item_j_id)
+    neg = np.where(first, triplets.item_j_id, triplets.item_i_id)
+    return (np.repeat(triplets.user_id, 2), np.stack([pos, neg], axis=1).ravel(),
+            np.tile([1.0, 0.0], len(triplets)))
 
 
 def split_train_test(
-    triplets: list[TripletExample],
+    triplets: np.recarray,
     test_fraction: float,
     seed: int,
     store: FeatureStore,
-) -> tuple[list[TripletExample], list[TripletExample]]:
+) -> tuple[np.recarray, np.recarray]:
     """Disjoint split stratified by the triplet user's dominant tag; falls
     back to an unstratified split (with a warning) on degenerate strata."""
     if not 0.0 < test_fraction < 1.0:
@@ -481,39 +459,29 @@ def split_train_test(
     target_test = int(round(test_fraction * n))
     target_test = min(max(target_test, 1), n - 1)
 
-    strata: dict[int, list[int]] = {}
-    for idx, t in enumerate(triplets):
-        tag = int(store.user_tags[store.user_row(t.user_id)])
-        strata.setdefault(tag, []).append(idx)
-
-    if any(len(v) < 2 for v in strata.values()):
+    tags = store.user_tags[store.user_rows(triplets.user_id)]
+    keys, sizes = np.unique(tags, return_counts=True)
+    test = np.zeros(n, dtype=bool)
+    if (sizes < 2).any():
         warnings.warn("degenerate strata; falling back to an unstratified split")
-        perm = gen.permutation(n)
-        test_idx = set(perm[:target_test].tolist())
+        test[gen.permutation(n)[:target_test]] = True
     else:
         # Largest-remainder apportionment of the test budget across strata.
-        keys = sorted(strata)
-        ideal = {k: test_fraction * len(strata[k]) for k in keys}
-        counts = {k: int(ideal[k]) for k in keys}
-        counts = {k: min(max(counts[k], 1), len(strata[k]) - 1) for k in keys}
-        remaining = target_test - sum(counts.values())
-        order = sorted(keys, key=lambda k: ideal[k] - int(ideal[k]), reverse=True)
+        ideal = test_fraction * sizes
+        counts = np.clip(np.trunc(ideal).astype(np.int64), 1, sizes - 1)
+        remaining = target_test - int(counts.sum())
+        order = np.argsort(np.trunc(ideal) - ideal, kind="stable")  # largest remainder first
         i = 0
         while remaining != 0 and i < 10 * len(keys):
             k = order[i % len(keys)]
-            if remaining > 0 and counts[k] < len(strata[k]) - 1:
+            if remaining > 0 and counts[k] < sizes[k] - 1:
                 counts[k] += 1
                 remaining -= 1
             elif remaining < 0 and counts[k] > 1:
                 counts[k] -= 1
                 remaining += 1
             i += 1
-        test_idx = set()
-        for k in keys:
-            idxs = np.array(strata[k])
-            perm = gen.permutation(len(idxs))
-            test_idx.update(idxs[perm[: counts[k]]].tolist())
-
-    train = [t for i, t in enumerate(triplets) if i not in test_idx]
-    test = [t for i, t in enumerate(triplets) if i in test_idx]
-    return train, test
+        for key, count in zip(keys, counts):
+            idxs = np.flatnonzero(tags == key)
+            test[idxs[gen.permutation(len(idxs))[:count]]] = True
+    return triplets[~test], triplets[test]

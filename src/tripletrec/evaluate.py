@@ -27,7 +27,6 @@ from .data import (
     DataError,
     FeatureStore,
     PairingStrategy,
-    TripletExample,
     build_triplets,
     gather_triplet_rows,
     split_train_test,
@@ -62,11 +61,11 @@ class EvalReport:
 
 
 def pairwise_accuracy(
-    model: M.TripletModelParams, triplets: list[TripletExample], store: FeatureStore
+    model: M.TripletModelParams, triplets: np.recarray, store: FeatureStore
 ) -> float:
     """Fraction of triplets ordered correctly: label 0 requires a negative
     pairwise logit, label 1 a positive one; a zero logit is wrong."""
-    if not triplets:
+    if triplets is None or len(triplets) == 0:
         raise DataError("empty test set")
     u, i, j, labels = gather_triplet_rows(store, triplets)
     z_u = M.embed_user(model.user_tower, store.user_topics)[u]
@@ -88,16 +87,13 @@ def precision_at_k(
     user_ids = list(user_ids)
     if not user_ids:
         raise DataError("no users to evaluate")
-    tag_of = {int(iid): int(t) for iid, t in zip(store.item_ids, store.item_tags)}
-    rows = [store.user_row(uid) for uid in user_ids]
+    rows = store.user_rows(user_ids)
     z_users = M.embed_user(model.user_tower, store.user_topics[rows])
     z_items = M.embed_item(model.item_tower, store.item_features)
-    per_user = []
-    for row, z_u in zip(rows, z_users):
-        ranked = M.rank_latents_for_user(model, z_u, store.item_ids, z_items, k)
-        hits = sum(1 for iid in ranked if tag_of[int(iid)] == int(store.user_tags[row]))
-        per_user.append(hits / len(ranked))
-    return float(np.mean(per_user))
+    ranked = np.array([M.rank_latents_for_user(model, z_u, store.item_ids, z_items, k)
+                       for z_u in z_users])
+    hits = store.item_tags[store.item_rows(ranked)] == store.user_tags[rows, None]
+    return float(np.mean(hits.sum(axis=1) / ranked.shape[1]))
 
 
 def item_item_precision_at_k(
@@ -111,27 +107,24 @@ def item_item_precision_at_k(
     item_ids = list(item_ids)
     if not item_ids:
         raise DataError("no items to evaluate")
-    tag_of = {int(iid): int(t) for iid, t in zip(store.item_ids, store.item_tags)}
-    rows = [store.item_row(iid) for iid in item_ids]
+    rows = store.item_rows(item_ids)
     z_items = M.embed_item(model.item_tower, store.item_features)
-    per_item = []
-    for iid, row in zip(item_ids, rows):
-        ranked = M.rank_latents_for_item(z_items[row], store.item_ids, z_items, k, (int(iid),))
-        hits = sum(1 for r in ranked if tag_of[int(r)] == int(store.item_tags[row]))
-        per_item.append(hits / len(ranked))
-    return float(np.mean(per_item))
+    ranked = np.array([M.rank_latents_for_item(z_items[row], store.item_ids, z_items, k, (int(iid),))
+                       for iid, row in zip(item_ids, rows)])
+    hits = store.item_tags[store.item_rows(ranked)] == store.item_tags[rows, None]
+    return float(np.mean(hits.sum(axis=1) / ranked.shape[1]))
 
 
 def evaluate_model(
     model: M.TripletModelParams,
     store: FeatureStore,
-    test_triplets: list[TripletExample] | None = None,
+    test_triplets: np.recarray | None = None,
     k: int = 10,
 ) -> EvalReport:
     """Full report: pairwise accuracy on the given triplets (if any) plus
     both retrieval precisions over the whole corpus."""
     report = EvalReport()
-    if test_triplets:
+    if test_triplets is not None and len(test_triplets) > 0:
         report.pairwise_accuracy = pairwise_accuracy(model, test_triplets, store)
         report.n_test["pairwise"] = len(test_triplets)
     report.precision_at_k[k] = precision_at_k(model, store.user_ids.tolist(), store, k)

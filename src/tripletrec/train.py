@@ -20,13 +20,7 @@ import numpy as np
 
 from . import evaluate as E
 from . import model as M
-from .data import (
-    DataError,
-    FeatureStore,
-    TripletExample,
-    gather_triplet_rows,
-    pairs_from_triplets,
-)
+from .data import DataError, FeatureStore, gather_triplet_rows, pairs_from_triplets
 from .nn import NonFiniteLossError, RngState, adam_step, zero_grads
 
 CHECKPOINT_VERSION = 1
@@ -79,9 +73,9 @@ def build_model(config: TrainConfig, rng: RngState) -> M.TripletModelParams:
 
 def train(
     store: FeatureStore,
-    triplets: list[TripletExample],
+    triplets: np.recarray,
     config: TrainConfig,
-    eval_triplets: list[TripletExample] | None = None,
+    eval_triplets: np.recarray | None = None,
     log_stream=None,
 ) -> Checkpoint:
     """Train per the config and return the final checkpoint.
@@ -89,7 +83,7 @@ def train(
     ``eval_triplets`` plus ``config.eval_every > 0`` adds a held-out pairwise
     accuracy to the per-epoch JSON line every eval_every epochs.
     """
-    if not triplets:
+    if triplets is None or len(triplets) == 0:
         raise DataError("no training triplets")
     log = log_stream if log_stream is not None else sys.stdout
 
@@ -100,8 +94,7 @@ def train(
     u_rows, i_rows, j_rows, tri_labels = gather_triplet_rows(store, triplets)
     if config.model_kind == "twonet":
         pair_uids, pair_iids, pair_labels = pairs_from_triplets(triplets, store)
-        pu_rows = np.array([store.user_row(x) for x in pair_uids], dtype=np.intp)
-        pi_rows = np.array([store.item_row(x) for x in pair_iids], dtype=np.intp)
+        pu_rows, pi_rows = store.user_rows(pair_uids), store.item_rows(pair_iids)
         n_examples = len(pair_labels)
     else:
         n_examples = len(triplets)
@@ -147,7 +140,8 @@ def train(
 
         line = {"epoch": epoch, "mean_loss": mean_loss}
         if (
-            eval_triplets
+            eval_triplets is not None
+            and len(eval_triplets) > 0
             and config.eval_every > 0
             and (epoch % config.eval_every == 0 or epoch == config.epochs)
         ):

@@ -2,6 +2,7 @@
 properties, triplet assembly under all three pairing regimes, splitting."""
 
 import csv
+import hashlib
 import io
 
 import numpy as np
@@ -15,9 +16,7 @@ from tripletrec.data import (
     FeatureStore,
     PairingStrategy,
     SynthConfig,
-    TripletExample,
     build_triplets,
-    dominant_tag,
     generate_synthetic,
     load_corpus,
     load_corpus_dir,
@@ -26,6 +25,7 @@ from tripletrec.data import (
     save_corpus,
     save_triplets,
     split_train_test,
+    triplet_array,
 )
 
 SMALL = SynthConfig(num_tags=3, users_per_tag=4, items_per_tag=5,
@@ -38,14 +38,6 @@ def small_store():
 
 def write_users(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-class TestDominantTag:
-    def test_argmax(self):
-        assert dominant_tag(np.array([0.1, 0.7, 0.2])) == 1
-
-    def test_tie_goes_to_lowest_index(self):
-        assert dominant_tag(np.array([0.4, 0.4, 0.2])) == 0
 
 
 class TestLoadCorpus:
@@ -74,8 +66,18 @@ class TestLoadCorpus:
         ])
         store = load_corpus(tmp_path / "users.csv", tmp_path / "items.csv")
         assert (store.n_users, store.n_items) == (2, 3)
-        assert store.user(1).dominant_tag == 0  # argmax fallback, no tag column
-        assert store.item(12).tag == 1
+        assert store.user_tags[store.user_row(1)] == 0  # argmax fallback, no tag column
+        assert store.item_tags[store.item_row(12)] == 1
+
+    def test_argmax_fallback_tie_goes_to_lowest_index(self, tmp_path):
+        write_users(tmp_path / "users.csv", [
+            "user_id,t0,t1,t2",
+            "1,0.2,0.4,0.4",
+            "2,0.4,0.4,0.2",
+        ])
+        write_users(tmp_path / "items.csv", ["item_id,tag,f0", "10,0,1.0"])
+        store = load_corpus(tmp_path / "users.csv", tmp_path / "items.csv")
+        npt.assert_array_equal(store.user_tags, [1, 0])
 
     def test_empty_items_rejected(self, tmp_path):
         write_users(tmp_path / "users.csv", ["user_id,t0,t1", "1,0.9,0.1"])
@@ -125,9 +127,11 @@ class TestLoadCorpus:
 
 class TestTripletsFile:
     def test_round_trip(self, tmp_path):
-        triplets = [TripletExample(1, 10, 11, 0), TripletExample(2, 11, 10, 1)]
+        triplets = triplet_array([1, 2], [10, 11], [11, 10], [0, 1])
         save_triplets(triplets, tmp_path / "t.csv")
-        assert load_triplets(tmp_path / "t.csv") == triplets
+        loaded = load_triplets(tmp_path / "t.csv")
+        assert loaded.dtype == triplets.dtype
+        npt.assert_array_equal(loaded, triplets)
 
     def test_bad_label_rejected(self, tmp_path):
         (tmp_path / "t.csv").write_text(
@@ -226,8 +230,8 @@ def label_invariant_holds(triplets, store):
     """Exhaustive scan: item_i matches the user's tag iff label is 0."""
     for t in triplets:
         user_tag = int(store.user_tags[store.user_row(t.user_id)])
-        tag_i = store.item(t.item_i_id).tag
-        tag_j = store.item(t.item_j_id).tag
+        tag_i = store.item_tags[store.item_row(t.item_i_id)]
+        tag_j = store.item_tags[store.item_row(t.item_j_id)]
         if t.label == 0 and not (tag_i == user_tag and tag_j != user_tag):
             return False
         if t.label == 1 and not (tag_j == user_tag and tag_i != user_tag):
@@ -268,9 +272,8 @@ class TestBuildTriplets:
 
     def test_deterministic_under_seed(self):
         store = small_store()
-        assert build_triplets(store, PairingStrategy.balanced(), 3) == build_triplets(
-            store, PairingStrategy.balanced(), 3
-        )
+        npt.assert_array_equal(build_triplets(store, PairingStrategy.balanced(), 3),
+                               build_triplets(store, PairingStrategy.balanced(), 3))
 
     def test_label_invariant_all_strategies(self):
         store = small_store()
@@ -298,7 +301,7 @@ class TestBuildTriplets:
         counts = {}
         for t in triplets:
             pos, neg = (t.item_i_id, t.item_j_id) if t.label == 0 else (t.item_j_id, t.item_i_id)
-            key = (store.item(pos).tag, store.item(neg).tag)
+            key = (store.item_tags[store.item_row(pos)], store.item_tags[store.item_row(neg)])
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6  # all ordered tag pairs
         assert max(counts.values()) - min(counts.values()) <= 1
@@ -366,7 +369,18 @@ class TestPairsFromTriplets:
         assert labels.sum() == len(triplets)
         for uid, iid, lab in zip(uids, iids, labels):
             user_tag = int(store.user_tags[store.user_row(uid)])
-            assert (store.item(int(iid)).tag == user_tag) == bool(lab)
+            assert (store.item_tags[store.item_row(iid)] == user_tag) == bool(lab)
+
+    def test_pairs_follow_triplet_order_positive_first(self):
+        store = small_store()
+        triplets = build_triplets(store, PairingStrategy.one_to_n(2), seed=19)
+        expected = []
+        for t in triplets:
+            pos, neg = (t.item_i_id, t.item_j_id) if t.label == 0 else (t.item_j_id, t.item_i_id)
+            expected += [(t.user_id, pos, 1.0), (t.user_id, neg, 0.0)]
+        uids, iids, labels = pairs_from_triplets(triplets, store)
+        assert (uids.dtype, iids.dtype, labels.dtype) == (np.int64, np.int64, np.float64)
+        assert list(zip(uids, iids, labels)) == expected
 
 
 class TestSplit:
@@ -381,14 +395,15 @@ class TestSplit:
         store = small_store()
         triplets = build_triplets(store, PairingStrategy.unbalanced(), seed=29)
         train, test = split_train_test(triplets, 0.25, seed=2, store=store)
-        assert sorted(map(repr, train + test)) == sorted(map(repr, triplets))
+        npt.assert_array_equal(np.sort(np.concatenate([train, test])), np.sort(triplets))
 
     def test_deterministic(self):
         store = small_store()
         triplets = build_triplets(store, PairingStrategy.unbalanced(), seed=31)
         a = split_train_test(triplets, 0.2, seed=3, store=store)
         b = split_train_test(triplets, 0.2, seed=3, store=store)
-        assert a == b
+        for half_a, half_b in zip(a, b):
+            npt.assert_array_equal(half_a, half_b)
 
     def test_stratified_by_user_tag(self):
         store = small_store()
@@ -405,7 +420,7 @@ class TestSplit:
         store = small_store()
         full = build_triplets(store, PairingStrategy.unbalanced(), seed=41)
         # one triplet from each of two tags: both strata are degenerate
-        triplets = [full[0], full[20], full[21]]
+        triplets = full[[0, 20, 21]]
         with pytest.warns(UserWarning, match="degenerate strata"):
             train, test = split_train_test(triplets, 0.34, seed=5, store=store)
         assert len(train) + len(test) == 3
@@ -415,3 +430,62 @@ class TestSplit:
         triplets = build_triplets(store, PairingStrategy.unbalanced(), seed=43)
         with pytest.raises(ValueError):
             split_train_test(triplets, 0.0, seed=0, store=store)
+
+
+def uneven_store():
+    """Unequal tag sizes, so balanced pairing trims, and ids out of order."""
+    return FeatureStore(
+        user_ids=np.array([50, 30, 90, 10, 70, 20, 80]),
+        user_topics=np.eye(3)[[0, 0, 0, 1, 2, 2, 2]] + 0.01,
+        user_tags=np.array([0, 0, 0, 1, 2, 2, 2]),
+        item_ids=np.array([15, 3, 8, 1, 0, 22, 7, 11, 9, 4, 5, 6, 2, 12, 13, 14]),
+        item_features=np.zeros((16, 2)),
+        item_tags=np.array([0] * 8 + [1] * 3 + [2] * 5),
+    )
+
+
+def column_digest(triplets):
+    """sha256 of the four int64 columns, little-endian, one after another."""
+    fields = ("user_id", "item_i_id", "item_j_id", "label")
+    return hashlib.sha256(b"".join(triplets[f].astype("<i8").tobytes() for f in fields)).hexdigest()
+
+
+class TestDrawOrder:
+    """The triplets and splits a seed gives, pinned: a refactor that changes
+    the order or number of RNG draws changes the training data."""
+
+    PINNED = {  # strategy: (count, triplets, train half, test half)
+        "unbalanced": (42, "b0cf0d58d5ba0391388a5727046988914b117371a6e72d6e5d53c70813887b3e",
+                       "65aa0ab19a8d4bd159db1cfac41f673334cdcd3254972ce110d92a5ebc8482a4",
+                       "f878af1e3a018aa2912a365565c53431442271088ad815ce7b4596ec50565902"),
+        "balanced": (18, "bd39920d2deaecbecb03310fe39289780ab056787f40d8a48944d9543bdafb83",
+                     "df6441577276db23ae38befa621a157b355fe674769b8e477032da3172225d8d",
+                     "c701d480382e34e10567155070b7c100de85b7be3c2a6f390413d0e0e9556ffd"),
+        "one_to_n": (126, "0767ddfd0b93712e070c4f87279d94a078ea9d9c7dc0271f1800f56543294c9b",
+                     "9a4f81317aa9cd0604fdc7e5625c8b2a488f1a6acacb3418eaa98bde7ef41f98",
+                     "2d2ba53a185d1568496e44287bdf21fb73af019197db031c9e077f5e22def697"),
+    }
+
+    @pytest.mark.parametrize("variant", sorted(PINNED))
+    def test_build_and_split_are_pinned(self, variant):
+        store = uneven_store()
+        strategy = PairingStrategy(variant, 3 if variant == "one_to_n" else 1)
+        triplets = build_triplets(store, strategy, seed=2)
+        train, test = split_train_test(triplets, 0.2, seed=3, store=store)
+        got = (len(triplets), *map(column_digest, (triplets, train, test)))
+        assert got == self.PINNED[variant]
+
+
+class TestIdLookup:
+    def test_rows_of_unsorted_ids_keep_the_query_shape(self):
+        store = uneven_store()
+        npt.assert_array_equal(store.item_rows([[0, 22], [15, 14]]), [[4, 5], [0, 15]])
+        npt.assert_array_equal(store.user_rows(store.user_ids), np.arange(store.n_users))
+        assert store.user_row(np.int64(10)) == 3 and store.item_row(14) == 15
+
+    @pytest.mark.parametrize("wanted, unknown", [([0, 16, 22, 17], 16), ([-1], -1), ([99], 99),
+                                                 (2**63, 2**63), (10**20, 10**20)],
+                             ids=["inside", "below", "above", "past-int64", "huge"])
+    def test_unknown_id_is_data_error_naming_it(self, wanted, unknown):
+        with pytest.raises(DataError, match=f"unknown item id {unknown}$"):
+            uneven_store().item_rows(wanted)

@@ -175,8 +175,7 @@ class TestPairwiseAccuracy:
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
             RngState(6),
         )
-        shuffled = list(triplets)
-        np.random.default_rng(0).shuffle(shuffled)
+        shuffled = triplets[np.random.default_rng(0).permutation(len(triplets))]
         assert pairwise_accuracy(model, triplets, store) == pairwise_accuracy(
             model, shuffled, store
         )
@@ -307,6 +306,19 @@ class TestEvalReport:
         table = report.to_table()
         assert "pairwise accuracy" in table
         assert "precision@3" in table
+
+    @pytest.mark.parametrize("rows", [None, slice(0, 0), slice(0, 1)], ids=["none", "empty", "one"])
+    def test_pairwise_accuracy_only_for_a_nonempty_test_set(self, rows):
+        store = small_corpus()
+        triplets = build_triplets(store, PairingStrategy.unbalanced(), seed=15)
+        test_set = None if rows is None else triplets[rows]
+        report = evaluate_model(perfect_model(store), store, test_set, k=3)
+        if rows == slice(0, 1):
+            assert report.pairwise_accuracy == 1.0
+            assert report.n_test == {"pairwise": 1, "users": store.n_users, "items": store.n_items}
+        else:
+            assert report.pairwise_accuracy is None
+            assert report.n_test == {"users": store.n_users, "items": store.n_items}
 
     def test_each_catalogue_row_is_embedded_once_per_retrieval_metric(self, monkeypatch):
         store = small_corpus()

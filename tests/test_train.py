@@ -85,10 +85,29 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="epochs"):
             tiny_config(epochs=0)
 
+    @pytest.mark.parametrize("model_kind", ["triplet", "twonet"])
+    def test_one_triplet_trains(self, corpus, model_kind):
+        store, triplets = corpus
+        ckpt = train(store, triplets[:1], tiny_config(model_kind=model_kind),
+                     log_stream=io.StringIO())
+        assert len(ckpt.loss_history) == 2
+
+    @pytest.mark.parametrize("rows, evaluated", [(None, False), (slice(0, 0), False),
+                                                 (slice(0, 1), True), (slice(None), True)],
+                             ids=["none", "empty", "one", "all"])
+    def test_eval_triplets_none_empty_or_some(self, corpus, rows, evaluated):
+        store, triplets = corpus
+        log = io.StringIO()
+        train(store, triplets, tiny_config(eval_every=1),
+              eval_triplets=None if rows is None else triplets[rows], log_stream=log)
+        lines = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert all(("eval_acc" in line) == evaluated for line in lines)
+
     def test_empty_triplets_rejected(self, corpus):
-        store, _ = corpus
-        with pytest.raises(DataError, match="no training triplets"):
-            train(store, [], tiny_config(), log_stream=io.StringIO())
+        store, triplets = corpus
+        for empty in ([], triplets[:0], None):
+            with pytest.raises(DataError, match="no training triplets"):
+                train(store, empty, tiny_config(), log_stream=io.StringIO())
 
     def test_single_epoch_full_batch_is_one_optimizer_step(self, corpus):
         store, triplets = corpus
@@ -179,10 +198,9 @@ class TestTrainLoop:
 
     def test_unknown_triplet_id_rejected(self, corpus):
         store, triplets = corpus
-        from tripletrec.data import TripletExample
-
-        bad = triplets + [TripletExample(999_999, 0, 1, 0)]
-        with pytest.raises(DataError, match="unknown user id"):
+        bad = triplets.copy()
+        bad.user_id[-1] = 999_999
+        with pytest.raises(DataError, match="unknown user id 999999"):
             train(store, bad, tiny_config(), log_stream=io.StringIO())
 
 
