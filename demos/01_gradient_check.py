@@ -6,51 +6,16 @@
 # every parameter entry by +-h and compares the numeric slope with the
 # analytic gradient. Dropout stays active but frozen: the loss closure
 # reseeds its random stream on every call, so all probes see the same masks.
+#
+# `gradcheck_models` builds small towers (7-dim users, 24-dim items, hidden
+# layers 8, 6, 4, 4, latent dim 4) and a batch of 3, and randomizes every
+# parameter, biases included: the zero-bias production init would park some
+# ReLUs exactly at their kink, which a finite difference straddles. It is
+# what `tripletrec gradcheck` and acceptance criterion 1 run.
 
-import numpy as np
+from tripletrec.cli import gradcheck_models
 
-from tripletrec import model as M
-from tripletrec.nn import RngState, grad_check, zero_grads
-
-user_spec = M.TowerSpec(input_dim=7, hidden_dims=[8, 6, 4, 4], output_dim=4, dropout_p=0.2)
-item_spec = M.TowerSpec(input_dim=24, hidden_dims=[8, 6, 4, 4], output_dim=4, dropout_p=0.2)
-model = M.init_model(user_spec, item_spec, RngState(1))
-
-# Randomize every parameter, biases included: the zero-bias production init
-# would park some ReLUs exactly at their kink, which a finite difference
-# straddles.
-gen = np.random.default_rng(101)
-for p in model.parameters():
-    p.value[...] = gen.normal(scale=0.4, size=p.value.shape)
-
-gen = np.random.default_rng(1)
-u = gen.normal(size=(3, 7))
-item_i = gen.normal(size=(3, 24))
-item_j = gen.normal(size=(3, 24))
-labels = np.array([0.0, 1.0, 0.0])
-
-params = model.parameters()
-print(f"checking {sum(p.value.size for p in params)} parameter entries, batch of 3")
-
-
-def triplet_loss():
-    return M.triplet_loss_and_grads(
-        model, u, item_i, item_j, labels, training=True, rng=RngState(2)
-    )
-
-
-report = grad_check(triplet_loss, params, h=1e-4)
-print(f"triplet ranking loss : {report.summary()}")
-
-zero_grads(params)
-match_labels = np.array([1.0, 0.0, 1.0])
-
-
-def twonet_loss():
-    return M.twonet_loss_and_grads(
-        model, u, item_i, match_labels, training=True, rng=RngState(3)
-    )
-
-
-report = grad_check(twonet_loss, params, h=1e-4)
-print(f"two-branch match loss: {report.summary()}")
+triplet, twonet = gradcheck_models(1)
+print(f"checking {triplet.n_entries} parameter entries, batch of 3")
+print(f"triplet ranking loss : {triplet.summary()}")
+print(f"two-branch match loss: {twonet.summary()}")

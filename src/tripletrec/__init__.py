@@ -51,7 +51,6 @@ from .nn import (
     ParamTensor,
     RngState,
     adam_step,
-    bce_loss,
     bce_loss_from_logit,
     grad_check,
     sigmoid_stable,

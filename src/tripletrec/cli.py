@@ -161,9 +161,9 @@ def _train_config_from_args(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
+    config = _train_config_from_args(args)
     store = D.load_corpus_dir(args.corpus)
     triplets = D.load_triplets(args.pairs)
-    config = _train_config_from_args(args)
     config.user_tower.input_dim = store.user_topics.shape[1]
     config.item_tower.input_dim = store.item_features.shape[1]
     ckpt = train(store, triplets, config)
@@ -207,8 +207,8 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    store = D.load_corpus_dir(args.corpus)
     base = _train_config_from_args(args)
+    store = D.load_corpus_dir(args.corpus)
     base.user_tower.input_dim = store.user_topics.shape[1]
     base.item_tower.input_dim = store.item_features.shape[1]
     cfg_triplet = dataclasses.replace(base, model_kind="triplet")

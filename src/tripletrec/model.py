@@ -30,6 +30,7 @@ from .nn import (
     ParamTensor,
     RngState,
     bce_loss_from_logit,
+    check_dropout_p,
     dropout_backward,
     dropout_forward,
     glorot_fill,
@@ -64,6 +65,7 @@ class TowerSpec:
             raise ValueError("a tower needs at least one hidden layer")
         if min(self.input_dim, self.output_dim, *self.hidden_dims) < 1:
             raise ValueError("tower dimensions must be positive")
+        check_dropout_p(self.dropout_p)
 
 
 def item_tower_spec(
@@ -125,23 +127,6 @@ def _tower_of(spec: TowerSpec, parts) -> TowerParams:
     return TowerParams(spec, **fields)
 
 
-def _init_tower_values(tower: TowerParams, rng: RngState) -> None:
-    """Glorot-uniform weights and identity normalization over zero tensors."""
-    gen = rng.next_generator()
-    for w in tower.weights:
-        glorot_fill(w.value, gen)
-    for gain in tower.gains:
-        gain.value[...] = 1.0
-
-
-def init_tower(spec: TowerSpec, rng: RngState) -> TowerParams:
-    """Glorot-uniform weights, zero biases, identity normalization, held in an
-    arena of the tower's own."""
-    tower = _tower_of(spec, param_arena([shape for *_, shape in tower_layout(spec)]))
-    _init_tower_values(tower, rng)
-    return tower
-
-
 @dataclass
 class DistanceHeadParams:
     """Final linear layer over the squared latent difference: weight (1, L)
@@ -164,11 +149,15 @@ class TripletModelParams:
 
     One ``item_tower`` serves both item branches of every triplet, so the
     branches' backward passes accumulate into the same gradient buffers.
+    Every tensor is a part of ``arena``, laid out in model_layout order, so
+    the arena's value buffer is the checkpoint's tensor section. Only
+    :func:`allocate_model` builds one.
     """
 
     user_tower: TowerParams
     item_tower: TowerParams
     head: DistanceHeadParams
+    arena: ParamTensor
 
     def parameters(self) -> list[ParamTensor]:
         return [
@@ -180,27 +169,33 @@ class TripletModelParams:
 
 def allocate_model(user_spec: TowerSpec, item_spec: TowerSpec) -> TripletModelParams:
     """A model of these shapes with every parameter zero, all of them parts of
-    one arena in model_layout order (so the arena's value buffer is the
-    checkpoint's tensor section). Draws nothing."""
+    one arena in model_layout order. Draws nothing."""
     if user_spec.output_dim != item_spec.output_dim:
         raise ValueError(
             f"towers must share the latent dimension, got "
             f"{user_spec.output_dim} vs {item_spec.output_dim}"
         )
-    parts = iter(param_arena([shape for _, shape, _ in model_layout(user_spec, item_spec)]))
+    parts = param_arena([shape for _, shape, _ in model_layout(user_spec, item_spec)])
+    rest = iter(parts)
     return TripletModelParams(
-        user_tower=_tower_of(user_spec, parts),
-        item_tower=_tower_of(item_spec, parts),
-        head=DistanceHeadParams(next(parts), next(parts)),
+        user_tower=_tower_of(user_spec, rest),
+        item_tower=_tower_of(item_spec, rest),
+        head=DistanceHeadParams(next(rest), next(rest)),
+        arena=parts[0].arena,
     )
 
 
 def init_model(user_spec: TowerSpec, item_spec: TowerSpec, rng: RngState) -> TripletModelParams:
-    """Glorot-initialised towers (user, then item, as init_tower does) and
-    head over one arena; each takes the next generator of ``rng``."""
+    """A model of these shapes with Glorot-uniform weights, zero biases and
+    identity normalization. The user tower, the item tower and the head each
+    take the next generator of ``rng``, in that order."""
     model = allocate_model(user_spec, item_spec)
-    _init_tower_values(model.user_tower, rng)
-    _init_tower_values(model.item_tower, rng)
+    for tower in (model.user_tower, model.item_tower):
+        gen = rng.next_generator()
+        for w in tower.weights:
+            glorot_fill(w.value, gen)
+        for gain in tower.gains:
+            gain.value[...] = 1.0
     glorot_fill(model.head.weight.value.T, rng.next_generator())
     return model
 

@@ -24,9 +24,6 @@ Array = np.ndarray
 # Variance floor for per-row normalization; keeps constant rows finite.
 NORM_VAR_FLOOR = 1e-5
 
-# Probability clamp for log() in the probability-space loss.
-BCE_EPS = 1e-12
-
 
 class NonFiniteLossError(ArithmeticError):
     """Raised when a loss evaluates to NaN/Inf; message names the batch."""
@@ -206,11 +203,16 @@ def layer_norm_backward(d_out: Array, cache) -> Array:
     return (d_xhat - mean_d - above * xhat * proj) / denom
 
 
+def check_dropout_p(p: float) -> None:
+    """Raise ValueError unless p is a dropout probability: 0 <= p < 1 (NaN is not)."""
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+
+
 def dropout_forward(x: Array, p: float, rng: RngState | None, training: bool):
     """Inverted dropout: zero entries with probability p and scale survivors
     by 1/(1-p) during training; at inference the op is the identity."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    check_dropout_p(p)
     if not training or p == 0.0:
         return x, None
     if rng is None:
@@ -236,17 +238,6 @@ def sigmoid_stable(x):
     x = np.asarray(x, dtype=np.float64)
     t = np.exp(-np.abs(x))
     out = np.where(x >= 0.0, 1.0 / (1.0 + t), t / (1.0 + t))
-    return out if out.ndim else float(out)
-
-
-def bce_loss(p, label):
-    """-label*log(p) - (1-label)*log(1-p), with p clamped to [eps, 1-eps].
-
-    Prefer :func:`bce_loss_from_logit` whenever the logit is available.
-    """
-    p = np.clip(np.asarray(p, dtype=np.float64), BCE_EPS, 1.0 - BCE_EPS)
-    label = np.asarray(label, dtype=np.float64)
-    out = -(label * np.log(p) + (1.0 - label) * np.log1p(-p))
     return out if out.ndim else float(out)
 
 

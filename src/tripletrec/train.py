@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -21,7 +22,7 @@ import numpy as np
 from . import evaluate as E
 from . import model as M
 from .data import DataError, FeatureStore, gather_triplet_rows, pairs_from_triplets
-from .nn import NonFiniteLossError, RngState, adam_step, zero_grads
+from .nn import NonFiniteLossError, RngState, adam_step, check_dropout_p, zero_grads
 
 CHECKPOINT_VERSION = 1
 _MAGIC = "triplet-recsys-checkpoint"
@@ -46,6 +47,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if self.model_kind not in ("triplet", "twonet"):
             raise ValueError(f"unknown model kind: {self.model_kind!r}")
+        check_dropout_p(self.dropout_p)
 
 
 @dataclass
@@ -199,50 +201,53 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
-        for _, p in tensors:
-            fh.write(np.ascontiguousarray(p.value, dtype="<f8"))
+        fh.write(ckpt.model.arena.value.astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Load a checkpoint exactly as saved, or raise DataError. The tensor
-    manifest must list the config's model parameters, in order and shape."""
+    manifest must list the config's model parameters, in order and shape,
+    and the file must hold exactly their bytes, which are read straight into
+    the model's arena."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    nl = blob.find(b"\n")
-    if nl < 0:
-        raise DataError(f"{path}: not a checkpoint (missing header line)")
-    try:
-        header = json.loads(blob[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
-    if not isinstance(header, dict) or header.get("magic") != _MAGIC:
-        raise DataError(f"{path}: not a checkpoint file")
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise DataError(
-            f"{path}: unsupported checkpoint version {header.get('format_version')!r} "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    if not _has_form(header, _HEADER_FORM):
-        raise DataError(
-            f"{path}: checkpoint header lacks a key, has an unknown one or holds "
-            f"a value of the wrong type"
-        )
+        line = fh.readline()
+        if not line.endswith(b"\n"):
+            raise DataError(f"{path}: not a checkpoint (missing header line)")
+        try:
+            header = json.loads(line[:-1].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"{path}: corrupt checkpoint header: {e}") from None
+        if not isinstance(header, dict) or header.get("magic") != _MAGIC:
+            raise DataError(f"{path}: not a checkpoint file")
+        if header.get("format_version") != CHECKPOINT_VERSION:
+            raise DataError(
+                f"{path}: unsupported checkpoint version {header.get('format_version')!r} "
+                f"(expected {CHECKPOINT_VERSION})"
+            )
+        if not _has_form(header, _HEADER_FORM):
+            raise DataError(
+                f"{path}: checkpoint header lacks a key, has an unknown one or holds "
+                f"a value of the wrong type"
+            )
 
-    try:
-        towers = {k: M.TowerSpec(**header["config"][k]) for k in ("user_tower", "item_tower")}
-        config = TrainConfig(**{**header["config"], **towers})
-        # the manifest and the file's length must fit the config before allocating
-        layout = [(n, s) for n, s, _ in M.model_layout(config.user_tower, config.item_tower)]
-        if [(t["name"], tuple(t["shape"])) for t in header["tensors"]] != layout:
-            raise ValueError("the tensor manifest does not list the config's parameters in order")
-        listed, held = 8 * sum(math.prod(s) for _, s in layout), len(blob) - nl - 1
-        if held != listed:
-            what = "truncated" if held < listed else "trailing bytes after"
-            raise ValueError(f"{what} tensor sections: {held} bytes, the manifest lists {listed}")
-        model = M.allocate_model(*_tower_specs(config))
-    except ValueError as e:
-        raise DataError(f"{path}: invalid checkpoint: {e}") from None
-    # every tensor is a part of one arena laid out in manifest order
-    model.head.bias.arena.value[...] = np.frombuffer(blob, dtype="<f8", offset=nl + 1)
+        try:
+            towers = {k: M.TowerSpec(**header["config"][k]) for k in ("user_tower", "item_tower")}
+            config = TrainConfig(**{**header["config"], **towers})
+            # the manifest and the file's length must fit the config before allocating
+            layout = [(n, s) for n, s, _ in M.model_layout(config.user_tower, config.item_tower)]
+            if [(t["name"], tuple(t["shape"])) for t in header["tensors"]] != layout:
+                raise ValueError("the tensor manifest does not list the config's parameters in order")
+            listed = 8 * sum(math.prod(s) for _, s in layout)
+            held = os.fstat(fh.fileno()).st_size - len(line)
+            if held != listed:
+                what = "truncated" if held < listed else "trailing bytes after"
+                raise ValueError(f"{what} tensor sections: {held} bytes, the manifest lists {listed}")
+            model = M.allocate_model(*_tower_specs(config))
+        except ValueError as e:
+            raise DataError(f"{path}: invalid checkpoint: {e}") from None
+        if fh.readinto(model.arena.value) != listed:
+            raise DataError(f"{path}: invalid checkpoint: the file shrank while it was read")
+    if sys.byteorder != "little":
+        model.arena.value.byteswap(inplace=True)
     rng = RngState(**header["rng"])
     return Checkpoint(config, model, rng, header["epoch"], header["loss_history"])

@@ -139,6 +139,14 @@ class TestTrain:
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert [l["epoch"] for l in lines] == [1, 2]
 
+    def test_invalid_dropout_fails_before_reading_the_corpus(self, tmp_path, capsys):
+        code = run([
+            "train", "--corpus", str(tmp_path / "missing"), "--pairs",
+            str(tmp_path / "missing.csv"), "--dropout", "1.5", "--ckpt", str(tmp_path / "m.ckpt"),
+        ])
+        assert code == 1
+        assert "dropout probability" in capsys.readouterr().err
+
     def test_non_finite_loss_maps_to_exit_3(self, monkeypatch):
         # overflow can't be provoked through the CLI alone (row normalization
         # saturates huge activations), so exercise the mapping directly
@@ -182,15 +190,23 @@ class TestEval:
 
     def test_header_claiming_a_huge_tower_exits_2(self, corpus_dir, ckpt_file,
                                                   checkpoint_parts, capsys):
+        # a dropout outside [0, 1) is as invalid as a huge tower: it must not
+        # load only to fail at the first embed
         split, join = checkpoint_parts
-        header, sections = split(ckpt_file.read_bytes())
-        header["config"]["item_tower"]["input_dim"] = 10**12
-        ckpt_file.write_bytes(join(header, sections))
-        code = run([
-            "eval", "--ckpt", str(ckpt_file), "--corpus", str(corpus_dir), "--k", "3",
-        ])
-        assert code == 2
-        assert str(ckpt_file) in capsys.readouterr().err
+        original = ckpt_file.read_bytes()
+        for edit in (
+            lambda config: config["item_tower"].update(input_dim=10**12),
+            lambda config: config.update(dropout_p=1.5),
+            lambda config: config.update(dropout_p=-0.1),
+        ):
+            header, sections = split(original)
+            edit(header["config"])
+            ckpt_file.write_bytes(join(header, sections))
+            code = run([
+                "eval", "--ckpt", str(ckpt_file), "--corpus", str(corpus_dir), "--k", "3",
+            ])
+            assert code == 2
+            assert str(ckpt_file) in capsys.readouterr().err
 
 
 class TestRetrieve:

@@ -30,7 +30,7 @@ from tripletrec.evaluate import (
     pairwise_accuracy,
     precision_at_k,
 )
-from tripletrec.nn import ParamTensor, RngState
+from tripletrec.nn import RngState
 from tripletrec.train import TrainConfig
 
 
@@ -66,24 +66,15 @@ def perfect_model(store):
     w0, *_ = np.linalg.lstsq(prototypes, targets, rcond=None)
 
     item_spec = M.TowerSpec(feat_dim, [n_tags], n_tags, dropout_p=0.0, normalize=False)
-    item_tower = M.init_tower(item_spec, RngState(0))
-    item_tower.weights[0].value[...] = w0
-    item_tower.biases[0].value[...] = 0.0
-    item_tower.weights[1].value[...] = np.eye(n_tags)
-    item_tower.biases[1].value[...] = 0.0
-
-    # user tower: identity on the (non-negative) topic vector
     user_spec = M.TowerSpec(n_tags, [n_tags], n_tags, dropout_p=0.0, normalize=False)
-    user_tower = M.init_tower(user_spec, RngState(0))
-    user_tower.weights[0].value[...] = np.eye(n_tags)
-    user_tower.biases[0].value[...] = 0.0
-    user_tower.weights[1].value[...] = np.eye(n_tags)
-    user_tower.biases[1].value[...] = 0.0
-
-    head = M.DistanceHeadParams(
-        ParamTensor(np.ones((1, n_tags))), ParamTensor(np.zeros((1, 1)))
-    )
-    return M.TripletModelParams(user_tower, item_tower, head)
+    m = M.allocate_model(user_spec, item_spec)
+    m.item_tower.weights[0].value[...] = w0
+    m.item_tower.weights[1].value[...] = np.eye(n_tags)
+    # user tower: identity on the (non-negative) topic vector
+    m.user_tower.weights[0].value[...] = np.eye(n_tags)
+    m.user_tower.weights[1].value[...] = np.eye(n_tags)
+    m.head.weight.value[...] = 1.0
+    return m
 
 
 def recount_pairwise(model, triplets, store):

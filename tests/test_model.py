@@ -70,7 +70,7 @@ class TestEmbedding:
 
     def test_hand_computed_single_hidden_tower(self):
         spec = M.TowerSpec(2, [2], 1, dropout_p=0.0, normalize=False)
-        tower = M.init_tower(spec, RngState(0))
+        tower = M.allocate_model(spec, spec).user_tower
         tower.weights[0].value[...] = [[1.0, -1.0], [0.0, 2.0]]
         tower.biases[0].value[...] = [[0.5, -0.5]]
         tower.weights[1].value[...] = [[2.0], [1.0]]
@@ -332,17 +332,11 @@ class TestRanking:
         # latents equal item features; the item placed exactly at the user's
         # latent has minimal distance when head weights are positive
         spec3 = M.TowerSpec(3, [3], 3, dropout_p=0.0, normalize=False)
-        user_tower = M.init_tower(spec3, RngState(0))
-        item_tower = M.init_tower(spec3, RngState(1))
-        for tower in (user_tower, item_tower):
+        m = M.allocate_model(spec3, spec3)
+        for tower in (m.user_tower, m.item_tower):
             tower.weights[0].value[...] = np.eye(3)
-            tower.biases[0].value[...] = 0.0
             tower.weights[1].value[...] = np.eye(3)
-            tower.biases[1].value[...] = 0.0
-        head = M.DistanceHeadParams(
-            ParamTensor(np.array([[1.0, 2.0, 0.5]])), ParamTensor(np.zeros((1, 1)))
-        )
-        m = M.TripletModelParams(user_tower, item_tower, head)
+        m.head.weight.value[...] = [[1.0, 2.0, 0.5]]
         u = np.array([0.6, 0.3, 0.1])
         gen = np.random.default_rng(3)
         feats = np.abs(gen.normal(size=(9, 3))) + 0.2
@@ -400,7 +394,7 @@ class TestWeightSharing:
 class TestArena:
     def test_every_tensor_is_a_view_of_the_arena_in_layout_order(self):
         m = tiny_model(seed=73)
-        arena = m.head.bias.arena
+        arena = m.arena
         named = M.named_parameters(m)
         assert [n for n, _ in named] == [
             n for n, _, _ in M.model_layout(m.user_tower.spec, m.item_tower.spec)

@@ -15,7 +15,6 @@ from tripletrec.nn import (
     param_arena,
     RngState,
     adam_step,
-    bce_loss,
     bce_loss_from_logit,
     dropout_backward,
     dropout_forward,
@@ -98,23 +97,25 @@ class TestSigmoid:
 
 class TestBce:
     def test_half_prob_is_ln2(self):
-        npt.assert_allclose(bce_loss(0.5, 0), math.log(2), rtol=1e-12)
+        # logit 0 is probability 1/2
+        npt.assert_allclose(bce_loss_from_logit(0.0, 0), math.log(2), rtol=1e-12)
 
     def test_confident_correct_is_near_zero(self):
-        assert bce_loss(1.0 - 1e-12, 1) < 1e-11
+        assert bce_loss_from_logit(30.0, 1) < 1e-11
 
     def test_sigmoid_minus_two_label_zero(self):
         # -ln(1 - sigmoid(-2)) = ln(1 + exp(-2))
         expected = math.log1p(math.exp(-2.0))
-        npt.assert_allclose(bce_loss(sigmoid_stable(-2.0), 0), expected, rtol=1e-10)
+        npt.assert_allclose(bce_loss_from_logit(-2.0, 0), expected, rtol=1e-10)
         npt.assert_allclose(expected, 0.126928, atol=5e-7)
 
     def test_logit_form_matches_probability_form(self):
         gen = np.random.default_rng(1)
         o = gen.normal(scale=4, size=200)
         y = gen.integers(0, 2, size=200).astype(float)
+        p = sigmoid_stable(o)
         npt.assert_allclose(
-            bce_loss_from_logit(o, y), bce_loss(sigmoid_stable(o), y), rtol=1e-10
+            bce_loss_from_logit(o, y), -(y * np.log(p) + (1.0 - y) * np.log1p(-p)), rtol=1e-10
         )
 
     def test_loss_monotone_in_logit_for_label_zero(self):

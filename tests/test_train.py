@@ -3,8 +3,10 @@ and checkpoint round trips."""
 
 import io
 import json
+import os
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from tripletrec.data import (
 )
 from tripletrec.nn import NonFiniteLossError, RngState, adam_step, zero_grads
 from tripletrec.train import (
+    Checkpoint,
     TrainConfig,
     build_model,
     load_checkpoint,
@@ -84,6 +87,13 @@ class TestTrainLoop:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="epochs"):
             tiny_config(epochs=0)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, -0.1, float("nan")])
+    def test_dropout_outside_the_unit_interval_rejected(self, p):
+        with pytest.raises(ValueError, match="dropout probability"):
+            tiny_config(dropout_p=p)
+        with pytest.raises(ValueError, match="dropout probability"):
+            M.TowerSpec(3, [4], 2, dropout_p=p)
 
     @pytest.mark.parametrize("model_kind", ["triplet", "twonet"])
     def test_one_triplet_trains(self, corpus, model_kind):
@@ -218,7 +228,21 @@ class TestCheckpoint:
         ckpt = train(store, triplets, tiny_config(), log_stream=io.StringIO())
         save_checkpoint(ckpt, tmp_path / "m.ckpt")
         blob = (tmp_path / "m.ckpt").read_bytes()
-        assert blob[blob.index(b"\n") + 1 :] == ckpt.model.head.bias.arena.value.tobytes()
+        assert blob[blob.index(b"\n") + 1 :] == ckpt.model.arena.value.tobytes()
+
+    def test_load_holds_no_copy_of_the_tensor_sections(self, tmp_path):
+        # the arena's four buffers are 4x its value bytes; a load that also
+        # held the file's bytes would peak at 5x
+        config = tiny_config(item_tower=M.TowerSpec(2000, [256, 8], 3))
+        model = build_model(config, RngState(0))
+        save_checkpoint(Checkpoint(config, model, RngState(0), 1, [0.5]), tmp_path / "m.ckpt")
+        tracemalloc.start()
+        try:
+            load_checkpoint(tmp_path / "m.ckpt")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.5 * model.arena.value.nbytes
 
     def test_load_draws_no_random_numbers(self, saved_checkpoint, tmp_path, monkeypatch):
         def no_draws(*args, **kwargs):
@@ -254,6 +278,16 @@ class TestCheckpoint:
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 100])
         with pytest.raises(DataError, match="truncated tensor section"):
+            load_checkpoint(path)
+
+    def test_file_shrinking_while_read_gives_clean_error(self, saved_checkpoint, tmp_path,
+                                                        monkeypatch):
+        # the size check passes, but the tensor read comes up short
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(saved_checkpoint.read_bytes()[:-8])
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: SimpleNamespace(st_size=real_fstat(fd).st_size + 8))
+        with pytest.raises(DataError, match="shrank"):
             load_checkpoint(path)
 
     def test_garbage_file_rejected(self, tmp_path):
