@@ -35,14 +35,12 @@ from .model import (
     embed_item,
     embed_user,
     init_model,
-    item_tower_spec,
     pair_logit,
     pair_prob,
     rank_items_for_item,
     rank_items_for_user,
     triplet_loss_and_grads,
     twonet_loss_and_grads,
-    user_tower_spec,
     weighted_distance,
 )
 from .nn import (

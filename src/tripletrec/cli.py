@@ -21,21 +21,25 @@ from .train import TrainConfig, load_checkpoint, save_checkpoint, train
 GRADCHECK_TOL = 1e-4
 
 
-def _dims(text: str) -> list[int]:
+def _ints(text: str) -> list[int]:
     try:
-        dims = [int(x) for x in text.split(",") if x.strip()]
+        values = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not dims:
-        raise argparse.ArgumentTypeError("need at least one dimension")
-    return dims
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one integer")
+    return values
 
 
-def _seeds(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
+def _add_model_flags(p: argparse.ArgumentParser, defaults: TrainConfig) -> None:
+    """The flags of ``train`` and ``compare`` that shape and train a model."""
+    p.add_argument("--epochs", type=int, default=defaults.epochs)
+    p.add_argument("--batch", type=int, default=defaults.batch_size)
+    p.add_argument("--dropout", type=float, default=defaults.dropout_p)
+    p.add_argument("--lr", type=float, default=defaults.learning_rate)
+    p.add_argument("--latent", type=int, default=defaults.user_tower.output_dim)
+    p.add_argument("--user-hidden", type=_ints, default=defaults.user_tower.hidden_dims)
+    p.add_argument("--item-hidden", type=_ints, default=defaults.item_tower.hidden_dims)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,18 +69,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="triplets CSV to write")
 
+    defaults = TrainConfig()
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--corpus", required=True)
     p.add_argument("--pairs", required=True)
-    p.add_argument("--model", choices=["triplet", "twonet"], default="triplet")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--latent", type=int, default=7)
-    p.add_argument("--user-hidden", type=_dims, default=[32, 32, 16, 16])
-    p.add_argument("--item-hidden", type=_dims, default=[1024, 256, 64, 16])
+    p.add_argument("--model", choices=["triplet", "twonet"], default=defaults.model_kind)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    _add_model_flags(p, defaults)
     p.add_argument("--ckpt", required=True, help="checkpoint file to write")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -96,17 +95,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="triplet vs twonet across seeds")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seeds", type=_seeds, default=[1, 2, 3, 4, 5])
+    p.add_argument("--seeds", type=_ints, default=[1, 2, 3, 4, 5])
     p.add_argument("--strategy", choices=["unbalanced", "balanced", "one-to-n"],
                    default="unbalanced")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--batch", type=int, default=64)
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--latent", type=int, default=7)
-    p.add_argument("--user-hidden", type=_dims, default=[32, 32, 16, 16])
-    p.add_argument("--item-hidden", type=_dims, default=[64, 32, 16, 16])
+    # the desk shape: short runs, small batches and a small item tower
+    _add_model_flags(p, TrainConfig(epochs=30, batch_size=64,
+                                    item_tower=M.TowerSpec(180, [64, 32, 16, 16])))
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--json", action="store_true")
 
@@ -147,26 +142,34 @@ def _cmd_build_pairs(args) -> int:
     return 0
 
 
-def _train_config_from_args(args) -> TrainConfig:
+def _train_config_from_args(args, **fields) -> TrainConfig:
+    """The config the model flags describe. Each tower's input width is a
+    placeholder until :func:`_sized` reads it off the corpus."""
     return TrainConfig(
         epochs=args.epochs,
         batch_size=args.batch,
         dropout_p=args.dropout,
         learning_rate=args.lr,
-        seed=getattr(args, "seed", 0),  # compare overrides the seed per run
-        model_kind=getattr(args, "model", "triplet"),
-        user_tower=M.user_tower_spec(hidden_dims=args.user_hidden, output_dim=args.latent),
-        item_tower=M.item_tower_spec(hidden_dims=args.item_hidden, output_dim=args.latent),
+        user_tower=M.TowerSpec(1, args.user_hidden, args.latent),
+        item_tower=M.TowerSpec(1, args.item_hidden, args.latent),
+        **fields,
+    )
+
+
+def _sized(config: TrainConfig, store: D.FeatureStore) -> TrainConfig:
+    """The config with each tower's input width set to the corpus's."""
+    return dataclasses.replace(
+        config,
+        user_tower=dataclasses.replace(config.user_tower, input_dim=store.user_topics.shape[1]),
+        item_tower=dataclasses.replace(config.item_tower, input_dim=store.item_features.shape[1]),
     )
 
 
 def _cmd_train(args) -> int:
-    config = _train_config_from_args(args)
+    config = _train_config_from_args(args, seed=args.seed, model_kind=args.model)
     store = D.load_corpus_dir(args.corpus)
     triplets = D.load_triplets(args.pairs)
-    config.user_tower.input_dim = store.user_topics.shape[1]
-    config.item_tower.input_dim = store.item_features.shape[1]
-    ckpt = train(store, triplets, config)
+    ckpt = train(store, triplets, _sized(config, store))
     save_checkpoint(ckpt, args.ckpt)
     print(f"wrote checkpoint to {args.ckpt}", file=sys.stderr)
     return 0
@@ -209,8 +212,7 @@ def _cmd_retrieve(args) -> int:
 def _cmd_compare(args) -> int:
     base = _train_config_from_args(args)
     store = D.load_corpus_dir(args.corpus)
-    base.user_tower.input_dim = store.user_topics.shape[1]
-    base.item_tower.input_dim = store.item_features.shape[1]
+    base = _sized(base, store)
     cfg_triplet = dataclasses.replace(base, model_kind="triplet")
     cfg_twonet = dataclasses.replace(base, model_kind="twonet")
     comparison = E.compare_methods(

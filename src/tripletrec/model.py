@@ -51,7 +51,9 @@ class TowerSpec:
     """Shape of one fully connected tower.
 
     Hidden layers run linear -> per-row normalize -> ReLU -> dropout; a final
-    linear layer maps to the latent space with no activation.
+    linear layer maps to the latent space with no activation. In training,
+    ``TrainConfig`` writes its own ``dropout_p`` into both of its towers, so
+    that value is the one that applies.
     """
 
     input_dim: int
@@ -66,29 +68,6 @@ class TowerSpec:
         if min(self.input_dim, self.output_dim, *self.hidden_dims) < 1:
             raise ValueError("tower dimensions must be positive")
         check_dropout_p(self.dropout_p)
-
-
-def item_tower_spec(
-    input_dim: int = 7560,
-    hidden_dims: list[int] | None = None,
-    output_dim: int = 7,
-    dropout_p: float = 0.2,
-) -> TowerSpec:
-    """Default item tower: geometric taper from the flat feature vector."""
-    if hidden_dims is None:
-        hidden_dims = [1024, 256, 64, 16]
-    return TowerSpec(input_dim, list(hidden_dims), output_dim, dropout_p)
-
-
-def user_tower_spec(
-    input_dim: int = 7,
-    hidden_dims: list[int] | None = None,
-    output_dim: int = 7,
-    dropout_p: float = 0.2,
-) -> TowerSpec:
-    if hidden_dims is None:
-        hidden_dims = [32, 32, 16, 16]
-    return TowerSpec(input_dim, list(hidden_dims), output_dim, dropout_p)
 
 
 @dataclass

@@ -42,6 +42,10 @@ class RngState:
     seed: int
     counter: int = 0
 
+    def __post_init__(self):
+        if self.seed < 0 or self.counter < 0:
+            raise ValueError(f"seed and counter must be >= 0, got {self.seed} and {self.counter}")
+
     def next_generator(self) -> np.random.Generator:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.counter,))
         self.counter += 1

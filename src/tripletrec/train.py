@@ -30,14 +30,23 @@ _MAGIC = "triplet-recsys-checkpoint"
 
 @dataclass
 class TrainConfig:
+    """Everything that, with the data, determines a training run.
+
+    ``dropout_p`` is the dropout of both towers: construction writes it into
+    copies of ``user_tower`` and ``item_tower``, so their ``dropout_p`` always
+    equals it, whatever the specs passed in declared.
+    """
+
     epochs: int = 200
     batch_size: int = 256
     dropout_p: float = 0.2
     learning_rate: float = 1e-3
     seed: int = 0
     model_kind: str = "triplet"  # "triplet" | "twonet"
-    user_tower: M.TowerSpec = field(default_factory=M.user_tower_spec)
-    item_tower: M.TowerSpec = field(default_factory=M.item_tower_spec)
+    user_tower: M.TowerSpec = field(default_factory=lambda: M.TowerSpec(input_dim=7))
+    item_tower: M.TowerSpec = field(
+        default_factory=lambda: M.TowerSpec(input_dim=7560, hidden_dims=[1024, 256, 64, 16])
+    )
     eval_every: int = 0  # epochs between held-out evaluations; 0 disables
 
     def __post_init__(self):
@@ -45,9 +54,15 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0 < self.learning_rate < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"learning rate must be a finite number > 0, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model_kind not in ("triplet", "twonet"):
             raise ValueError(f"unknown model kind: {self.model_kind!r}")
         check_dropout_p(self.dropout_p)
+        self.user_tower = dataclasses.replace(self.user_tower, dropout_p=self.dropout_p)
+        self.item_tower = dataclasses.replace(self.item_tower, dropout_p=self.dropout_p)
 
 
 @dataclass
@@ -61,16 +76,9 @@ class Checkpoint:
     loss_history: list[float]
 
 
-def _tower_specs(config: TrainConfig) -> tuple[M.TowerSpec, M.TowerSpec]:
-    """The user and item tower specs, with the config's dropout on both."""
-    return tuple(dataclasses.replace(spec, dropout_p=config.dropout_p)
-                 for spec in (config.user_tower, config.item_tower))
-
-
 def build_model(config: TrainConfig, rng: RngState) -> M.TripletModelParams:
-    """Fresh towers/head per the config; the config's dropout applies to
-    both towers."""
-    return M.init_model(*_tower_specs(config), rng)
+    """Fresh towers/head per the config."""
+    return M.init_model(config.user_tower, config.item_tower, rng)
 
 
 def train(
@@ -232,6 +240,11 @@ def load_checkpoint(path) -> Checkpoint:
 
         try:
             towers = {k: M.TowerSpec(**header["config"][k]) for k in ("user_tower", "item_tower")}
+            # the config gives both towers its own dropout_p, so a header whose
+            # towers spell another (0 against 0.0 included) would not save back as read
+            top = repr(header["config"]["dropout_p"])
+            if any(repr(header["config"][k]["dropout_p"]) != top for k in towers):
+                raise ValueError("a tower's dropout_p is not the config's dropout_p")
             config = TrainConfig(**{**header["config"], **towers})
             # the manifest and the file's length must fit the config before allocating
             layout = [(n, s) for n, s, _ in M.model_layout(config.user_tower, config.item_tower)]
@@ -242,12 +255,12 @@ def load_checkpoint(path) -> Checkpoint:
             if held != listed:
                 what = "truncated" if held < listed else "trailing bytes after"
                 raise ValueError(f"{what} tensor sections: {held} bytes, the manifest lists {listed}")
-            model = M.allocate_model(*_tower_specs(config))
+            model = M.allocate_model(config.user_tower, config.item_tower)
+            rng = RngState(**header["rng"])
         except ValueError as e:
             raise DataError(f"{path}: invalid checkpoint: {e}") from None
         if fh.readinto(model.arena.value) != listed:
             raise DataError(f"{path}: invalid checkpoint: the file shrank while it was read")
     if sys.byteorder != "little":
         model.arena.value.byteswap(inplace=True)
-    rng = RngState(**header["rng"])
     return Checkpoint(config, model, rng, header["epoch"], header["loss_history"])

@@ -38,6 +38,16 @@ def _missing_rng(header, sections):
     return sections
 
 
+def _tower_dropout_differs(header, sections):
+    header["config"]["user_tower"]["dropout_p"] = header["config"]["dropout_p"] + 0.1
+    return sections
+
+
+def _negative_rng_seed(header, sections):
+    header["rng"]["seed"] = -1
+    return sections
+
+
 def _omitted_tensor(header, sections):
     return [s for s in sections if s[0]["name"] != "user.w0"]
 
@@ -58,6 +68,8 @@ def _swapped_tensors(header, sections):
 DEFECTS = {
     "unknown-config-key": _unknown_config_key,
     "missing-rng": _missing_rng,
+    "tower-dropout-differs": _tower_dropout_differs,
+    "negative-rng-seed": _negative_rng_seed,
     "omitted-tensor": _omitted_tensor,
     "duplicated-tensor": _duplicated_tensor,
     "swapped-tensors": _swapped_tensors,

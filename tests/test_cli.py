@@ -3,10 +3,14 @@
 import csv
 import io
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from tripletrec.cli import run
+from tripletrec import cli
+from tripletrec.cli import build_parser, run
+from tripletrec.train import TrainConfig, load_checkpoint
 
 SYNTH = [
     "synth", "--tags", "2", "--items-per-tag", "3", "--users-per-tag", "2",
@@ -139,13 +143,38 @@ class TestTrain:
         lines = [json.loads(l) for l in capsys.readouterr().out.strip().splitlines()]
         assert [l["epoch"] for l in lines] == [1, 2]
 
-    def test_invalid_dropout_fails_before_reading_the_corpus(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--dropout", "1.5", "dropout probability must be in [0, 1), got 1.5"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--lr", "nan", "learning rate must be a finite number > 0, got nan"),
+        ("--lr", "inf", "learning rate must be a finite number > 0, got inf"),
+        ("--lr", "0", "learning rate must be a finite number > 0, got 0.0"),
+        ("--lr", "-1", "learning rate must be a finite number > 0, got -1.0"),
+    ], ids=["dropout-1.5", "seed--1", "lr-nan", "lr-inf", "lr-0", "lr--1"])
+    def test_invalid_config_fails_before_reading_the_corpus(self, tmp_path, capsys, flag,
+                                                            value, named):
         code = run([
             "train", "--corpus", str(tmp_path / "missing"), "--pairs",
-            str(tmp_path / "missing.csv"), "--dropout", "1.5", "--ckpt", str(tmp_path / "m.ckpt"),
+            str(tmp_path / "missing.csv"), flag, value, "--ckpt", str(tmp_path / "m.ckpt"),
         ])
         assert code == 1
-        assert "dropout probability" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
+
+    def test_flag_defaults_are_the_train_config_defaults(self):
+        args = build_parser().parse_args(["train", "--corpus", "c", "--pairs", "p", "--ckpt", "k"])
+        default = TrainConfig()
+        corpus = SimpleNamespace(user_topics=np.zeros((1, default.user_tower.input_dim)),
+                                 item_features=np.zeros((1, default.item_tower.input_dim)))
+        config = cli._train_config_from_args(args, seed=args.seed, model_kind=args.model)
+        assert cli._sized(config, corpus) == default
+
+    def test_dropout_flag_is_both_towers_dropout(self, ckpt_file):
+        header = json.loads(ckpt_file.read_bytes().split(b"\n", 1)[0])["config"]
+        assert header["dropout_p"] == 0.1
+        assert header["user_tower"]["dropout_p"] == header["item_tower"]["dropout_p"] == 0.1
+        loaded = load_checkpoint(ckpt_file)
+        assert loaded.model.user_tower.spec == loaded.config.user_tower
+        assert loaded.model.item_tower.spec == loaded.config.item_tower
 
     def test_non_finite_loss_maps_to_exit_3(self, monkeypatch):
         # overflow can't be provoked through the CLI alone (row normalization
@@ -190,14 +219,17 @@ class TestEval:
 
     def test_header_claiming_a_huge_tower_exits_2(self, corpus_dir, ckpt_file,
                                                   checkpoint_parts, capsys):
-        # a dropout outside [0, 1) is as invalid as a huge tower: it must not
-        # load only to fail at the first embed
+        # a dropout outside [0, 1) or a learning rate that is not finite and
+        # positive is as invalid as a huge tower: it must not load only to
+        # fail at the first embed or train step
         split, join = checkpoint_parts
         original = ckpt_file.read_bytes()
         for edit in (
             lambda config: config["item_tower"].update(input_dim=10**12),
             lambda config: config.update(dropout_p=1.5),
             lambda config: config.update(dropout_p=-0.1),
+            lambda config: config.update(learning_rate=0),
+            lambda config: config.update(learning_rate=-1.0),
         ):
             header, sections = split(original)
             edit(header["config"])

@@ -419,6 +419,11 @@ class TestRngState:
             rng.next_generator().random(4), resumed.next_generator().random(4)
         )
 
+    @pytest.mark.parametrize("seed, counter", [(-1, 0), (0, -1)])
+    def test_negative_seed_or_counter_rejected(self, seed, counter):
+        with pytest.raises(ValueError, match=f"got {seed} and {counter}"):
+            RngState(seed, counter)
+
 
 class TestGlorot:
     def test_bounds_and_determinism(self):

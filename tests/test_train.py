@@ -95,6 +95,14 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="dropout probability"):
             M.TowerSpec(3, [4], 2, dropout_p=p)
 
+    def test_config_dropout_is_both_towers_dropout(self):
+        config = tiny_config(dropout_p=0.1, user_tower=M.TowerSpec(3, [6, 5], 3, dropout_p=0.2),
+                             item_tower=M.TowerSpec(12, [8, 6], 3, dropout_p=0.2))
+        assert config.user_tower.dropout_p == config.item_tower.dropout_p == 0.1
+        model = build_model(config, RngState(0))
+        assert model.user_tower.spec == config.user_tower
+        assert model.item_tower.spec == config.item_tower
+
     @pytest.mark.parametrize("model_kind", ["triplet", "twonet"])
     def test_one_triplet_trains(self, corpus, model_kind):
         store, triplets = corpus
@@ -157,16 +165,6 @@ class TestTrainLoop:
         save_checkpoint(ckpt_b, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
-    def test_zero_lr_leaves_parameters_unchanged(self, corpus):
-        store, triplets = corpus
-        config = tiny_config(epochs=2, learning_rate=0.0)
-        ckpt = train(store, triplets, config, log_stream=io.StringIO())
-        fresh = build_model(config, RngState(config.seed))
-        for (_, got), (_, want) in zip(
-            M.named_parameters(ckpt.model), M.named_parameters(fresh)
-        ):
-            assert np.array_equal(got.value, want.value)
-
     def test_loss_decreases_on_easy_corpus(self):
         cfg = SynthConfig(num_tags=3, users_per_tag=4, items_per_tag=8,
                           feature_noise_std=0.05, seed=9, frames=3, frame_dim=4)
@@ -222,6 +220,16 @@ class TestCheckpoint:
         save_checkpoint(ckpt, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_model_towers_are_the_config_towers_after_train_and_load(self, corpus, tmp_path):
+        # tiny_config's towers declare the default dropout 0.2, its dropout_p is 0.1
+        store, triplets = corpus
+        ckpt = train(store, triplets, tiny_config(), log_stream=io.StringIO())
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        for c in (ckpt, load_checkpoint(tmp_path / "m.ckpt")):
+            assert c.config.user_tower.dropout_p == c.config.item_tower.dropout_p == 0.1
+            assert c.model.user_tower.spec == c.config.user_tower
+            assert c.model.item_tower.spec == c.config.item_tower
 
     def test_tensor_section_is_the_arena_value_buffer(self, corpus, tmp_path):
         store, triplets = corpus
