@@ -15,7 +15,7 @@ import numpy as np
 from . import data as D
 from . import evaluate as E
 from . import model as M
-from .nn import NonFiniteLossError, RngState, grad_check, zero_grads
+from .nn import NonFiniteLossError, RngState, grad_check, writing, zero_grads
 from .train import TrainConfig, load_checkpoint, save_checkpoint, train
 
 GRADCHECK_TOL = 1e-4
@@ -29,6 +29,21 @@ def _ints(text: str) -> list[int]:
     if not values:
         raise argparse.ArgumentTypeError("need at least one integer")
     return values
+
+
+def _seed(value) -> int:
+    """A seed flag's value: an integer >= 0, checked before any file is read."""
+    try:
+        seed = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _seeds(text: str) -> list[int]:
+    return [_seed(v) for v in _ints(text)]
 
 
 def _add_model_flags(p: argparse.ArgumentParser, defaults: TrainConfig) -> None:
@@ -58,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--topic-sharpness", type=float, default=4.0)
     p.add_argument("--frames", type=int, default=20)
     p.add_argument("--frame-dim", type=int, default=378)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="corpus directory to write")
 
     p = sub.add_parser("build-pairs", help="assemble training triplets")
@@ -66,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=["unbalanced", "balanced", "one-to-n"],
                    default="unbalanced")
     p.add_argument("--n", type=int, default=10, help="negatives per positive (one-to-n)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="triplets CSV to write")
 
     defaults = TrainConfig()
@@ -74,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--pairs", required=True)
     p.add_argument("--model", choices=["triplet", "twonet"], default=defaults.model_kind)
-    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--seed", type=_seed, default=defaults.seed)
     _add_model_flags(p, defaults)
     p.add_argument("--ckpt", required=True, help="checkpoint file to write")
 
@@ -95,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="triplet vs twonet across seeds")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--seeds", type=_ints, default=[1, 2, 3, 4, 5])
+    p.add_argument("--seeds", type=_seeds, default=[1, 2, 3, 4, 5])
     p.add_argument("--strategy", choices=["unbalanced", "balanced", "one-to-n"],
                    default="unbalanced")
     p.add_argument("--n", type=int, default=10)
@@ -106,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of both losses")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_seed, default=1)
 
     return parser
 
@@ -242,7 +257,8 @@ def gradcheck_models(seed: int):
     model = M.init_model(user_spec, item_spec, RngState(seed))
     gen = np.random.default_rng(seed + 100)
     for p in model.parameters():
-        p.value[...] = gen.normal(scale=0.4, size=p.value.shape)
+        with writing(p) as value:
+            value[...] = gen.normal(scale=0.4, size=value.shape)
     gen = np.random.default_rng(seed)
     u = gen.normal(size=(3, 7))
     xi = gen.normal(size=(3, 24))

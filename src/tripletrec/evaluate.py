@@ -9,8 +9,10 @@ Three metrics, all computed in inference mode over frozen parameters:
 * precision@k for item -> item retrieval — same, over query items with the
   query excluded from candidates.
 
-Each metric embeds the catalogue (and its users) once and scores every
-triplet or query against those latents.
+Each metric embeds its users once and takes the catalogue's latents from
+the model's cache (``model.catalogue_latents``), so a full evaluation embeds
+the catalogue at most once; every triplet or query is scored against those
+latents.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def pairwise_accuracy(
         raise DataError("empty test set")
     u, i, j, labels = gather_triplet_rows(store, triplets)
     z_u = M.embed_user(model.user_tower, store.user_topics)[u]
-    z_items = M.embed_item(model.item_tower, store.item_features)
+    z_items = M.catalogue_latents(model, store.item_features)
     d_i, d_j = (M.distance_forward(model.head, z_u, z_items[rows])[0] for rows in (i, j))
     o = d_i - d_j
     correct = ((o < 0) & (labels == 0)) | ((o > 0) & (labels == 1))
@@ -89,7 +91,7 @@ def precision_at_k(
         raise DataError("no users to evaluate")
     rows = store.user_rows(user_ids)
     z_users = M.embed_user(model.user_tower, store.user_topics[rows])
-    z_items = M.embed_item(model.item_tower, store.item_features)
+    z_items = M.catalogue_latents(model, store.item_features)
     ranked = np.array([M.rank_latents_for_user(model, z_u, store.item_ids, z_items, k)
                        for z_u in z_users])
     hits = store.item_tags[store.item_rows(ranked)] == store.user_tags[rows, None]
@@ -108,7 +110,7 @@ def item_item_precision_at_k(
     if not item_ids:
         raise DataError("no items to evaluate")
     rows = store.item_rows(item_ids)
-    z_items = M.embed_item(model.item_tower, store.item_features)
+    z_items = M.catalogue_latents(model, store.item_features)
     ranked = np.array([M.rank_latents_for_item(z_items[row], store.item_ids, z_items, k, (int(iid),))
                        for iid, row in zip(item_ids, rows)])
     hits = store.item_tags[store.item_rows(ranked)] == store.item_tags[rows, None]

@@ -20,6 +20,7 @@ Training objectives:
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,6 +44,7 @@ from .nn import (
     relu_backward,
     relu_forward,
     sigmoid_stable,
+    writing,
 )
 
 
@@ -130,13 +132,15 @@ class TripletModelParams:
     branches' backward passes accumulate into the same gradient buffers.
     Every tensor is a part of ``arena``, laid out in model_layout order, so
     the arena's value buffer is the checkpoint's tensor section. Only
-    :func:`allocate_model` builds one.
+    :func:`allocate_model` builds one. ``catalogue`` is the one entry of the
+    model's catalogue-latent cache (see :func:`catalogue_latents`).
     """
 
     user_tower: TowerParams
     item_tower: TowerParams
     head: DistanceHeadParams
     arena: ParamTensor
+    catalogue: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def parameters(self) -> list[ParamTensor]:
         return [
@@ -172,10 +176,13 @@ def init_model(user_spec: TowerSpec, item_spec: TowerSpec, rng: RngState) -> Tri
     for tower in (model.user_tower, model.item_tower):
         gen = rng.next_generator()
         for w in tower.weights:
-            glorot_fill(w.value, gen)
+            with writing(w) as value:
+                glorot_fill(value, gen)
         for gain in tower.gains:
-            gain.value[...] = 1.0
-    glorot_fill(model.head.weight.value.T, rng.next_generator())
+            with writing(gain) as value:
+                value[...] = 1.0
+    with writing(model.head.weight) as value:
+        glorot_fill(value.T, rng.next_generator())
     return model
 
 
@@ -428,13 +435,42 @@ def rank_latents_for_item(
     return _top_k(item_ids, d, k, "item neighbours")
 
 
+def catalogue_latents(model: TripletModelParams, item_features: Array) -> Array:
+    """``embed_item(model.item_tower, item_features)``, cached per model.
+
+    The cache holds one entry, keyed by the model's arena, the arena's
+    ``version`` (which every parameter write moves, see :func:`nn.writing`)
+    and ``item_features``, held by weakref. A fill makes ``item_features``
+    and every array on its ``.base`` chain read-only, so the catalogue cannot
+    change under its latents; it caches only when that chain ends in an
+    array that owns its memory, and otherwise embeds on every call. The
+    cached latents are read-only too. A view of that memory made before the
+    fill stays writable, and a write through it goes unseen.
+    """
+    arena, entry = model.arena, model.catalogue
+    if (entry is not None and entry[0] is arena and entry[1] == arena.version
+            and entry[2]() is item_features):
+        return entry[3]
+    latents = embed_item(model.item_tower, item_features)
+    if isinstance(item_features, np.ndarray):
+        chain = [item_features]
+        while isinstance(chain[-1].base, np.ndarray):
+            chain.append(chain[-1].base)
+        if chain[-1].flags.owndata:
+            for a in (*chain, latents):
+                a.flags.writeable = False
+            model.catalogue = (arena, arena.version, weakref.ref(item_features), latents)
+    return latents
+
+
 def rank_items_for_user(
     model: TripletModelParams, u: Array, item_ids: Array, item_features: Array, k: int
 ) -> Array:
-    """Embed the user and the items (inference mode, no dropout), then rank
-    as :func:`rank_latents_for_user` does."""
+    """Embed the user (inference mode, no dropout), take the items' latents
+    from :func:`catalogue_latents`, then rank as
+    :func:`rank_latents_for_user` does."""
     z_u = embed_user(model.user_tower, u)
-    z_items = embed_item(model.item_tower, item_features)
+    z_items = catalogue_latents(model, item_features)
     return rank_latents_for_user(model, z_u, item_ids, z_items, k)
 
 
@@ -442,8 +478,9 @@ def rank_items_for_item(
     model: TripletModelParams, query_features: Array, item_ids: Array,
     item_features: Array, k: int, exclude_ids=(),
 ) -> Array:
-    """Embed the query and the items, then rank as
-    :func:`rank_latents_for_item` does."""
+    """Embed the query, take the items' latents from
+    :func:`catalogue_latents`, then rank as :func:`rank_latents_for_item`
+    does."""
     z_q = embed_item(model.item_tower, query_features)
-    z_items = embed_item(model.item_tower, item_features)
+    z_items = catalogue_latents(model, item_features)
     return rank_latents_for_item(z_q, item_ids, z_items, k, exclude_ids)

@@ -15,6 +15,7 @@ branches of a network collect contributions from every branch.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +63,10 @@ class ParamTensor:
 
     :func:`param_arena` lays tensors end to end in one flat tensor, their
     arena: each one's four arrays are reshaped views of the arena's, and its
-    ``arena`` is that flat tensor. Writing through either writes both. (The arena keeps no
+    ``arena`` is that flat tensor. The ``value`` of an arena and of its parts
+    is read-only: :func:`writing` is the one writer, and each write through
+    it adds one to the arena's ``version``, so a cache of anything computed
+    from the values can tell that they changed. (The arena keeps no
     list of its parts, so a dropped model is freed at once, with no
     reference cycle left for the garbage collector.)
     """
@@ -72,6 +76,7 @@ class ParamTensor:
     moment1: Array | None = None
     moment2: Array | None = None
     arena: ParamTensor | None = field(default=None, init=False, repr=False, compare=False)
+    version: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
@@ -89,7 +94,8 @@ class ParamTensor:
 def param_arena(shapes) -> list[ParamTensor]:
     """Zero tensors of the given shapes, in order, laid end to end in one
     fresh 1-D arena. Its four buffers come from ``np.zeros``, so pages
-    nothing writes cost no memory."""
+    nothing writes cost no memory. The parts' values and the arena's are
+    read-only; write them with :func:`writing`."""
     sizes = [math.prod(shape) for shape in shapes]
     arena = ParamTensor(np.zeros(sum(sizes)))
     buffers = (arena.value, arena.grad, arena.moment1, arena.moment2)
@@ -97,9 +103,30 @@ def param_arena(shapes) -> list[ParamTensor]:
     for shape, size in zip(shapes, sizes):
         part = ParamTensor(*(buf[start : start + size].reshape(shape) for buf in buffers))
         part.arena = arena
+        part.value.flags.writeable = False
         parts.append(part)
         start += size
+    arena.value.flags.writeable = False
     return parts
+
+
+@contextmanager
+def writing(tensor: ParamTensor):
+    """The one writer of parameter values: yields ``tensor.value`` writable,
+    and on exit makes it read-only again if it was and adds one to the
+    ``version`` of the tensor's arena (of the tensor itself when it has
+    none). Rank nothing inside the block: the version moves when it ends."""
+    arena = tensor.arena or tensor
+    views = (arena.value,) if tensor is arena else (arena.value, tensor.value)
+    frozen = [v for v in views if not v.flags.writeable]
+    for v in frozen:
+        v.flags.writeable = True
+    try:
+        yield tensor.value
+    finally:
+        for v in reversed(frozen):
+            v.flags.writeable = False
+        arena.version += 1
 
 
 def fuse(params) -> list[ParamTensor]:
@@ -290,23 +317,24 @@ def adam_step(
     n = min(ADAM_CHUNK, max((p.value.size for p in params), default=0))
     scratch_a, scratch_b = np.empty(n), np.empty(n)
     for p in params:
-        flat = [buf.reshape(-1) for buf in (p.value, p.grad, p.moment1, p.moment2)]
-        for start in range(0, flat[0].size, ADAM_CHUNK):
-            value, g, m, v = (buf[start : start + ADAM_CHUNK] for buf in flat)
-            a, b = scratch_a[: g.size], scratch_b[: g.size]
-            m *= b1
-            m += np.multiply(g, 1.0 - b1, out=a)
-            v *= b2
-            np.multiply(g, g, out=a)
-            a *= 1.0 - b2
-            v += a
-            np.divide(m, c1, out=a)
-            a *= lr
-            np.divide(v, c2, out=b)
-            np.sqrt(b, out=b)
-            b += eps
-            a /= b
-            value -= a
+        with writing(p) as values:
+            flat = [buf.reshape(-1) for buf in (values, p.grad, p.moment1, p.moment2)]
+            for start in range(0, flat[0].size, ADAM_CHUNK):
+                value, g, m, v = (buf[start : start + ADAM_CHUNK] for buf in flat)
+                a, b = scratch_a[: g.size], scratch_b[: g.size]
+                m *= b1
+                m += np.multiply(g, 1.0 - b1, out=a)
+                v *= b2
+                np.multiply(g, g, out=a)
+                a *= 1.0 - b2
+                v += a
+                np.divide(m, c1, out=a)
+                a *= lr
+                np.divide(v, c2, out=b)
+                np.sqrt(b, out=b)
+                b += eps
+                a /= b
+                value -= a
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +368,12 @@ class GradCheckReport:
         return msg
 
 
+def _write_entry(p: ParamTensor, j: int, x) -> None:
+    """Set entry ``j`` of ``p.value`` in row-major order, through :func:`writing`."""
+    with writing(p) as value:
+        value.reshape(-1)[j] = x
+
+
 def grad_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
     """Compare analytic gradients of a scalar loss against central differences.
 
@@ -365,11 +399,11 @@ def grad_check(f, params, h: float = 1e-5, tol: float = 1e-4) -> GradCheckReport
         a_flat = analytic[pi].reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + h
+            _write_entry(p, j, orig + h)
             lo_plus = float(f())
-            flat[j] = orig - h
+            _write_entry(p, j, orig - h)
             lo_minus = float(f())
-            flat[j] = orig
+            _write_entry(p, j, orig)
             n_entries += 1
             if not (math.isfinite(lo_plus) and math.isfinite(lo_minus)):
                 failures.append(f"param {pi} entry {j}: non-finite loss at probe")

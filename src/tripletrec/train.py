@@ -22,7 +22,7 @@ import numpy as np
 from . import evaluate as E
 from . import model as M
 from .data import DataError, FeatureStore, gather_triplet_rows, pairs_from_triplets
-from .nn import NonFiniteLossError, RngState, adam_step, check_dropout_p, zero_grads
+from .nn import NonFiniteLossError, RngState, adam_step, check_dropout_p, writing, zero_grads
 
 CHECKPOINT_VERSION = 1
 _MAGIC = "triplet-recsys-checkpoint"
@@ -259,8 +259,9 @@ def load_checkpoint(path) -> Checkpoint:
             rng = RngState(**header["rng"])
         except ValueError as e:
             raise DataError(f"{path}: invalid checkpoint: {e}") from None
-        if fh.readinto(model.arena.value) != listed:
-            raise DataError(f"{path}: invalid checkpoint: the file shrank while it was read")
-    if sys.byteorder != "little":
-        model.arena.value.byteswap(inplace=True)
+        with writing(model.arena) as value:
+            if fh.readinto(value) != listed:
+                raise DataError(f"{path}: invalid checkpoint: the file shrank while it was read")
+            if sys.byteorder != "little":
+                value.byteswap(inplace=True)
     return Checkpoint(config, model, rng, header["epoch"], header["loss_history"])

@@ -71,6 +71,13 @@ class TestSynth:
         assert (a / "items.csv").read_bytes() == (b / "items.csv").read_bytes()
 
 
+    def test_negative_seed_is_a_usage_error_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        assert run(SYNTH + ["--seed", "-1", "--out", str(out)]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestBuildPairs:
     def test_one_to_n_count(self, tmp_path, corpus_dir, capsys):
         out = tmp_path / "p.csv"
@@ -120,6 +127,13 @@ class TestBuildPairs:
         ])
         assert code == 2
         assert str(corpus_dir / name) in capsys.readouterr().err
+
+
+    def test_negative_seed_fails_before_reading_the_corpus(self, tmp_path, capsys):
+        code = run(["build-pairs", "--corpus", str(tmp_path / "missing"), "--seed", "-1",
+                    "--out", str(tmp_path / "pairs.csv")])
+        assert code == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestTrain:
@@ -289,6 +303,11 @@ class TestCompare:
         parsed = json.loads(captured.out)  # whole stdout is one JSON doc
         assert parsed["n_seeds"] == 3
         assert "epoch" in captured.err  # training lines went to stderr
+
+
+    def test_negative_seed_fails_before_reading_the_corpus(self, tmp_path, capsys):
+        assert run(["compare", "--corpus", str(tmp_path / "missing"), "--seeds=2,-1,3"]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 class TestGradcheck:

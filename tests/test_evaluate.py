@@ -30,8 +30,14 @@ from tripletrec.evaluate import (
     pairwise_accuracy,
     precision_at_k,
 )
-from tripletrec.nn import RngState
+from tripletrec.nn import RngState, writing
 from tripletrec.train import TrainConfig
+
+
+def assign(p, x):
+    """Write ``x`` into parameter ``p`` through the parameter writer."""
+    with writing(p) as value:
+        value[...] = x
 
 
 def small_corpus(noise=0.2, seed=3, tags=3, users=4, items=6):
@@ -45,8 +51,8 @@ def zero_head_model(store):
     user_spec = M.TowerSpec(store.user_topics.shape[1], [5, 4], 3)
     item_spec = M.TowerSpec(store.item_features.shape[1], [5, 4], 3)
     m = M.init_model(user_spec, item_spec, RngState(0))
-    m.head.weight.value[...] = 0.0
-    m.head.bias.value[...] = 0.0
+    assign(m.head.weight, 0.0)
+    assign(m.head.bias, 0.0)
     return m
 
 
@@ -68,12 +74,12 @@ def perfect_model(store):
     item_spec = M.TowerSpec(feat_dim, [n_tags], n_tags, dropout_p=0.0, normalize=False)
     user_spec = M.TowerSpec(n_tags, [n_tags], n_tags, dropout_p=0.0, normalize=False)
     m = M.allocate_model(user_spec, item_spec)
-    m.item_tower.weights[0].value[...] = w0
-    m.item_tower.weights[1].value[...] = np.eye(n_tags)
+    assign(m.item_tower.weights[0], w0)
+    assign(m.item_tower.weights[1], np.eye(n_tags))
     # user tower: identity on the (non-negative) topic vector
-    m.user_tower.weights[0].value[...] = np.eye(n_tags)
-    m.user_tower.weights[1].value[...] = np.eye(n_tags)
-    m.head.weight.value[...] = 1.0
+    assign(m.user_tower.weights[0], np.eye(n_tags))
+    assign(m.user_tower.weights[1], np.eye(n_tags))
+    assign(m.head.weight, 1.0)
     return m
 
 
@@ -180,7 +186,7 @@ class TestPairwiseAccuracy:
             RngState(8),
         )
         before = pairwise_accuracy(model, triplets, store)
-        model.head.bias.value += 123.456  # cancels in the logit difference
+        assign(model.head.bias, model.head.bias.value + 123.456)  # cancels in the logit difference
         assert pairwise_accuracy(model, triplets, store) == before
 
 
@@ -311,7 +317,7 @@ class TestEvalReport:
             assert report.pairwise_accuracy is None
             assert report.n_test == {"users": store.n_users, "items": store.n_items}
 
-    def test_each_catalogue_row_is_embedded_once_per_retrieval_metric(self, monkeypatch):
+    def test_the_catalogue_is_embedded_once_per_evaluation(self, monkeypatch):
         store = small_corpus()
         model = M.init_model(
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
@@ -329,7 +335,7 @@ class TestEvalReport:
         monkeypatch.setattr(M, "tower_forward", counting)
         triplets = build_triplets(store, PairingStrategy.unbalanced(), seed=16)
         evaluate_model(model, store, triplets, k=5)
-        assert sum(item_rows) == 3 * store.n_items
+        assert item_rows == [store.n_items]
 
 
 @pytest.mark.parametrize("first", ["tripletrec.train", "tripletrec.evaluate"])

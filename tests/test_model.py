@@ -2,11 +2,15 @@
 pairwise logits/probabilities, both losses, and retrieval, each against
 hand computations or independent re-implementations."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripletrec import model as M
 from tripletrec import nn as N
@@ -18,6 +22,13 @@ from tripletrec.nn import (
     grad_check,
     zero_grads,
 )
+from tripletrec.train import Checkpoint, TrainConfig, build_model, load_checkpoint, save_checkpoint
+
+
+def assign(p, x):
+    """Write ``x`` into parameter ``p`` through the parameter writer."""
+    with N.writing(p) as value:
+        value[...] = x
 
 
 def tiny_model(seed=0, user_dim=3, item_dim=5, hidden=(4, 3), latent=2,
@@ -32,9 +43,9 @@ def zero_model(**kw):
     m = tiny_model(**kw)
     for tower in (m.user_tower, m.item_tower):
         for p in [*tower.weights, *tower.biases, *tower.shifts]:
-            p.value[...] = 0.0
-    m.head.weight.value[...] = 0.0
-    m.head.bias.value[...] = 0.0
+            assign(p, 0.0)
+    assign(m.head.weight, 0.0)
+    assign(m.head.bias, 0.0)
     return m
 
 
@@ -71,10 +82,10 @@ class TestEmbedding:
     def test_hand_computed_single_hidden_tower(self):
         spec = M.TowerSpec(2, [2], 1, dropout_p=0.0, normalize=False)
         tower = M.allocate_model(spec, spec).user_tower
-        tower.weights[0].value[...] = [[1.0, -1.0], [0.0, 2.0]]
-        tower.biases[0].value[...] = [[0.5, -0.5]]
-        tower.weights[1].value[...] = [[2.0], [1.0]]
-        tower.biases[1].value[...] = [[0.25]]
+        assign(tower.weights[0], [[1.0, -1.0], [0.0, 2.0]])
+        assign(tower.biases[0], [[0.5, -0.5]])
+        assign(tower.weights[1], [[2.0], [1.0]])
+        assign(tower.biases[1], [[0.25]])
         # x=[1,2]: linear -> [1.5, 2.5]; relu keeps both; 2*1.5 + 1*2.5 + 0.25
         z = M.embed_user(tower, np.array([[1.0, 2.0]]))
         npt.assert_allclose(z, [[5.75]], rtol=1e-15)
@@ -200,7 +211,7 @@ class TestTripletLoss:
         m = tiny_model(seed=29, hidden=(5, 4, 3, 3), latent=3)
         gen = np.random.default_rng(9)
         for p in m.parameters():
-            p.value[...] = gen.normal(scale=0.4, size=p.value.shape)
+            assign(p, gen.normal(scale=0.4, size=p.shape))
         u = gen.normal(size=(3, 3))
         xi = gen.normal(size=(3, 5))
         xj = gen.normal(size=(3, 5))
@@ -252,7 +263,7 @@ class TestTwonetLoss:
 
     def test_large_distance_label_zero_gives_near_zero_loss(self):
         m = zero_model()
-        m.head.bias.value[...] = 40.0  # D = 40 for every pair
+        assign(m.head.bias, 40.0)  # D = 40 for every pair
         loss = M.twonet_loss_and_grads(m, np.ones((2, 3)), np.ones((2, 5)), np.zeros(2))
         assert loss < 1e-12
 
@@ -260,7 +271,7 @@ class TestTwonetLoss:
         m = tiny_model(seed=37, hidden=(5, 4, 3, 3), latent=3)
         gen = np.random.default_rng(11)
         for p in m.parameters():
-            p.value[...] = gen.normal(scale=0.4, size=p.value.shape)
+            assign(p, gen.normal(scale=0.4, size=p.shape))
         u = gen.normal(size=(3, 3))
         x = gen.normal(size=(3, 5))
         labels = np.array([1.0, 0.0, 1.0])
@@ -334,9 +345,9 @@ class TestRanking:
         spec3 = M.TowerSpec(3, [3], 3, dropout_p=0.0, normalize=False)
         m = M.allocate_model(spec3, spec3)
         for tower in (m.user_tower, m.item_tower):
-            tower.weights[0].value[...] = np.eye(3)
-            tower.weights[1].value[...] = np.eye(3)
-        m.head.weight.value[...] = [[1.0, 2.0, 0.5]]
+            assign(tower.weights[0], np.eye(3))
+            assign(tower.weights[1], np.eye(3))
+        assign(m.head.weight, [[1.0, 2.0, 0.5]])
         u = np.array([0.6, 0.3, 0.1])
         gen = np.random.default_rng(3)
         feats = np.abs(gen.normal(size=(9, 3))) + 0.2
@@ -348,8 +359,8 @@ class TestRanking:
         m, u, item_ids, feats = self._setup(seed=53)
         # collapse every item to one latent: ranking reduces to id order
         for p in [*m.item_tower.weights, *m.item_tower.biases, *m.item_tower.shifts]:
-            p.value[...] = 0.0
-        m.item_tower.biases[-1].value[...] = 1.0
+            assign(p, 0.0)
+        assign(m.item_tower.biases[-1], 1.0)
         got = M.rank_items_for_item(m, feats[0], item_ids, feats, k=3, exclude_ids=())
         assert got.tolist() == item_ids[:3].tolist()
 
@@ -372,6 +383,127 @@ class TestRanking:
         ranked = M.rank_items_for_user(m, u, item_ids, feats, 10).tolist()
         i2, i4 = ranked.index(102), ranked.index(104)
         assert i4 == i2 + 1
+
+
+class TestCatalogueCache:
+    """Rankings that take the catalogue's latents from the model's cache
+    equal rankings against a fresh embed, across every parameter writer."""
+
+    N_ITEMS = 12
+    K = N_ITEMS - 1  # every candidate of an item query, so any reorder shows
+    OPS = ["query", "adam", "adam-item-tower", "load", "grad-check", "init",
+           "new-catalogue", "copied-catalogue", "viewed-catalogue"]
+
+    @staticmethod
+    def config():
+        return TrainConfig(dropout_p=0.0, user_tower=M.TowerSpec(3, [4, 3], 2),
+                             item_tower=M.TowerSpec(5, [4, 3], 2))
+
+    def assert_rankings_exact(self, model, u, item_ids, feats):
+        z_items = M.embed_item(model.item_tower, feats)
+        z_u = M.embed_user(model.user_tower, u)
+        assert np.array_equal(
+            M.rank_items_for_user(model, u, item_ids, feats, self.K),
+            M.rank_latents_for_user(model, z_u, item_ids, z_items, self.K),
+        )
+        z_q = M.embed_item(model.item_tower, feats[4])
+        assert np.array_equal(
+            M.rank_items_for_item(model, feats[4], item_ids, feats, self.K, (item_ids[4],)),
+            M.rank_latents_for_item(z_q, item_ids, z_items, self.K, (item_ids[4],)),
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(ops=st.lists(st.sampled_from(OPS), max_size=10), seed=st.integers(0, 2**16))
+    def test_cached_rankings_equal_a_fresh_embed_after_any_write(self, tmp_path_factory,
+                                                                 ops, seed):
+        gen = np.random.default_rng(seed)
+        config = self.config()
+        model = build_model(config, RngState(seed))
+        path = tmp_path_factory.mktemp("cache") / "m.ckpt"
+        save_checkpoint(Checkpoint(config, model, RngState(seed), 0, []), path)
+        item_ids = np.arange(100, 100 + self.N_ITEMS)
+        feats = gen.normal(size=(self.N_ITEMS, 5))
+        u = gen.normal(size=3)
+        batch = (gen.normal(size=(4, 3)), gen.normal(size=(4, 5)), gen.normal(size=(4, 5)),
+                 np.array([0.0, 1.0, 1.0, 0.0]))
+        self.assert_rankings_exact(model, u, item_ids, feats)
+        for step, op in enumerate(ops, 1):
+            if op in ("adam", "adam-item-tower"):
+                params = model.parameters() if op == "adam" else model.item_tower.parameters()
+                for p in params:
+                    p.grad[...] = gen.normal(size=p.shape)
+                adam_step(params, lr=0.2, step=step)
+            elif op == "load":
+                model = load_checkpoint(path).model
+            elif op == "grad-check":
+                def loss():
+                    # every probe is a write: rank against it mid-check
+                    self.assert_rankings_exact(model, u, item_ids, feats)
+                    return M.triplet_loss_and_grads(model, *batch)
+
+                grad_check(loss, [model.item_tower.weights[-1], model.item_tower.biases[0]])
+            elif op == "init":
+                model = build_model(config, RngState(int(gen.integers(1000))))
+            elif op == "new-catalogue":
+                feats = gen.normal(size=(self.N_ITEMS, 5))
+            elif op == "copied-catalogue":
+                feats = feats.copy()
+            elif op == "viewed-catalogue":
+                feats = feats[:]
+            self.assert_rankings_exact(model, u, item_ids, feats)
+
+    def test_repeat_queries_embed_only_the_query_until_a_write(self, monkeypatch):
+        m = tiny_model(seed=61)
+        gen = np.random.default_rng(61)
+        feats, item_ids = gen.normal(size=(9, 5)), np.arange(9)
+        rows = []
+        tower_forward = M.tower_forward
+
+        def counting(tower, x, *args, **kwargs):
+            if tower is m.item_tower:
+                rows.append(np.atleast_2d(x).shape[0])
+            return tower_forward(tower, x, *args, **kwargs)
+
+        monkeypatch.setattr(M, "tower_forward", counting)
+        for _ in range(3):
+            M.rank_items_for_user(m, gen.normal(size=3), item_ids, feats, 3)
+            M.rank_items_for_item(m, feats[2], item_ids, feats, 3)
+        assert rows == [9, 1, 1, 1]
+        for p in m.parameters():
+            p.grad[...] = 1.0
+        adam_step(m.parameters(), step=1)
+        M.rank_items_for_item(m, feats[2], item_ids, feats, 3)
+        assert rows[4:] == [1, 9]
+
+    def test_writing_the_catalogue_after_a_ranking_raises(self):
+        m = tiny_model(seed=62)
+        base = np.random.default_rng(62).normal(size=(10, 5))
+        feats = base[1:]
+        M.rank_items_for_user(m, np.ones(3), np.arange(9), feats, 3)
+        for array in (feats, base):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+
+    def test_a_catalogue_in_memory_it_does_not_own_still_ranks_exactly(self):
+        m = tiny_model(seed=63)
+        feats = np.frombuffer(bytearray(8 * self.N_ITEMS * 5)).reshape(self.N_ITEMS, 5)
+        item_ids = np.arange(self.N_ITEMS)
+        for row in range(3):
+            feats[row] = np.random.default_rng(row).normal(size=5)
+            self.assert_rankings_exact(m, np.ones(3), item_ids, feats)
+        assert feats.flags.writeable
+
+    def test_a_dropped_model_with_a_filled_cache_is_freed_without_the_gc(self):
+        m = tiny_model(seed=64)
+        feats = np.random.default_rng(64).normal(size=(6, 5))
+        M.rank_items_for_user(m, np.ones(3), np.arange(6), feats, 3)
+        refs = [weakref.ref(x) for x in (m, m.arena, feats)]
+        gc.disable()
+        try:
+            del m, feats
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestWeightSharing:

@@ -26,6 +26,7 @@ from tripletrec.nn import (
     relu_backward,
     relu_forward,
     sigmoid_stable,
+    writing,
     zero_grads,
 )
 
@@ -241,8 +242,28 @@ class TestArena:
                 assert buf.ctypes.data == whole.ctypes.data + 8 * start
             start += p.value.size
         for i, p in enumerate(parts):
-            p.value[...] = i + 1
+            with writing(p) as value:
+                value[...] = i + 1
         assert arena.value.tolist() == [1.0] * 6 + [2.0] * 3 + [3.0] * 4 + [4.0]
+
+    def test_values_are_written_only_through_the_writer_which_counts_writes(self):
+        parts = param_arena(self.SHAPES)
+        arena = parts[0].arena
+        for value in (parts[1].value, arena.value, arena.value.reshape(-1)):
+            with pytest.raises(ValueError, match="read-only"):
+                value[...] = 1.0
+        with writing(parts[1]) as value:
+            value[...] = 2.0
+        assert arena.version == 1 and arena.value[6:9].tolist() == [2.0] * 3
+        assert not parts[1].value.flags.writeable and not arena.value.flags.writeable
+        adam_step(parts, step=1)  # the arena in one fused write
+        assert arena.version == 2
+        adam_step(parts[:2], step=1)  # part by part
+        assert arena.version == 4
+        loose = pt([1.0])
+        with writing(loose) as value:
+            value += 1.0
+        assert loose.value.flags.writeable and loose.version == 1
 
     def test_fuse_takes_distinct_parts_covering_the_arena_in_any_order(self):
         parts = param_arena(self.SHAPES)
@@ -274,7 +295,8 @@ class TestArena:
         parts = param_arena(self.SHAPES)
         loose = [pt(gen.normal(size=s)) for s in self.SHAPES]
         for p, q in zip(parts, loose):
-            p.value[...] = q.value
+            with writing(p) as value:
+                value[...] = q.value
         for step in (1, 2, 3):
             for p, q in zip(parts, loose):
                 p.grad[...] = q.grad[...] = gen.normal(size=q.shape)
