@@ -31,15 +31,23 @@ def _ints(text: str) -> list[int]:
     return values
 
 
-def _seed(value) -> int:
-    """A seed flag's value: an integer >= 0, checked before any file is read."""
-    try:
-        seed = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
-    return seed
+def _int_at_least(low: int, what: str):
+    """The type of a flag whose value is an integer >= ``low``, checked
+    before any file is read; the message names ``what`` and the value."""
+
+    def parse(value) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {value!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{what} must be >= {low}, got {n}")
+        return n
+
+    return parse
+
+
+_seed = _int_at_least(0, "seed")
 
 
 def _seeds(text: str) -> list[int]:
@@ -80,7 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--strategy", choices=["unbalanced", "balanced", "one-to-n"],
                    default="unbalanced")
-    p.add_argument("--n", type=int, default=10, help="negatives per positive (one-to-n)")
+    p.add_argument("--n", type=_int_at_least(1, "n"), default=10,
+                   help="negatives per positive (one-to-n)")
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="triplets CSV to write")
 
@@ -97,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--pairs", help="held-out triplets CSV for pairwise accuracy")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_int_at_least(1, "k"), default=10)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("retrieve", help="nearest items for a user or an item")
@@ -106,18 +115,18 @@ def build_parser() -> argparse.ArgumentParser:
     who = p.add_mutually_exclusive_group(required=True)
     who.add_argument("--user", type=int)
     who.add_argument("--item", type=int)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_int_at_least(1, "k"), default=10)
 
     p = sub.add_parser("compare", help="triplet vs twonet across seeds")
     p.add_argument("--corpus", required=True)
     p.add_argument("--seeds", type=_seeds, default=[1, 2, 3, 4, 5])
     p.add_argument("--strategy", choices=["unbalanced", "balanced", "one-to-n"],
                    default="unbalanced")
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_int_at_least(1, "n"), default=10)
     # the desk shape: short runs, small batches and a small item tower
     _add_model_flags(p, TrainConfig(epochs=30, batch_size=64,
                                     item_tower=M.TowerSpec(180, [64, 32, 16, 16])))
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_int_at_least(1, "k"), default=10)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("gradcheck", help="finite-difference check of both losses")

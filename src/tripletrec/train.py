@@ -1,8 +1,11 @@
 """Deterministic minibatch training for the triplet model and the two-branch
 baseline, with binary checkpointing.
 
-(seed, config, data) fully determine every parameter after every step: the
-same run repeated gives bitwise-identical checkpoints. Each epoch shuffles
+(seed, config, data) and the BLAS thread count fully determine every
+parameter after every step: the same run repeated with the same thread count
+gives bitwise-identical checkpoints. Another thread count may not, because a
+large matrix product splits its sums across threads (at the production shape
+the first item layer's forward product does). Each epoch shuffles
 the examples (seeded), walks all full batches plus the final partial batch,
 takes one Adam step per batch and zeroes gradients afterwards. One JSON line
 per epoch goes to stdout: ``{"epoch": k, "mean_loss": x, "eval_acc": y?}``.
@@ -90,6 +93,12 @@ def train(
 ) -> Checkpoint:
     """Train per the config and return the final checkpoint.
 
+    Each step hands the loss the batch's item rows and ``store.item_features``
+    itself, not a copy of each branch's features: the item tower runs once
+    over both branches' rows stacked (the one branch for twonet), and its
+    first linear layer copies and multiplies only the batch's distinct items
+    (see :func:`model.tower_forward`).
+
     ``eval_triplets`` plus ``config.eval_every > 0`` adds a held-out pairwise
     accuracy to the per-epoch JSON line every eval_every epochs.
     """
@@ -121,20 +130,22 @@ def train(
                     loss = M.triplet_loss_and_grads(
                         model,
                         store.user_topics[u_rows[idx]],
-                        store.item_features[i_rows[idx]],
-                        store.item_features[j_rows[idx]],
+                        i_rows[idx],
+                        j_rows[idx],
                         tri_labels[idx],
                         training=True,
                         rng=rng,
+                        items=store.item_features,
                     )
                 else:
                     loss = M.twonet_loss_and_grads(
                         model,
                         store.user_topics[pu_rows[idx]],
-                        store.item_features[pi_rows[idx]],
+                        pi_rows[idx],
                         pair_labels[idx],
                         training=True,
                         rng=rng,
+                        items=store.item_features,
                     )
             except NonFiniteLossError as e:
                 raise NonFiniteLossError(

@@ -135,6 +135,12 @@ class TestBuildPairs:
         assert code == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
+    def test_zero_negatives_fail_before_reading_the_corpus(self, tmp_path, capsys):
+        code = run(["build-pairs", "--corpus", str(tmp_path / "missing"), "--strategy",
+                    "one-to-n", "--n", "0", "--out", str(tmp_path / "pairs.csv")])
+        assert code == 1
+        assert "n must be >= 1, got 0" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_same_seed_gives_identical_checkpoints(self, tmp_path, corpus_dir, pairs_file):
@@ -255,6 +261,13 @@ class TestEval:
             assert str(ckpt_file) in capsys.readouterr().err
 
 
+    def test_k_below_one_fails_before_reading_any_file(self, tmp_path, capsys):
+        code = run(["eval", "--ckpt", str(tmp_path / "missing.ckpt"),
+                    "--corpus", str(tmp_path / "missing"), "--k", "0"])
+        assert code == 1
+        assert "k must be >= 1, got 0" in capsys.readouterr().err
+
+
 class TestRetrieve:
     def test_for_user(self, corpus_dir, ckpt_file, capsys):
         code = run([
@@ -292,6 +305,13 @@ class TestRetrieve:
         assert code == 1
 
 
+    def test_k_below_one_fails_before_reading_any_file(self, tmp_path, capsys):
+        code = run(["retrieve", "--ckpt", str(tmp_path / "missing.ckpt"),
+                    "--corpus", str(tmp_path / "missing"), "--user", "0", "--k", "-2"])
+        assert code == 1
+        assert "k must be >= 1, got -2" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_json_is_single_document(self, corpus_dir, capsys):
         code = run([
@@ -308,6 +328,11 @@ class TestCompare:
     def test_negative_seed_fails_before_reading_the_corpus(self, tmp_path, capsys):
         assert run(["compare", "--corpus", str(tmp_path / "missing"), "--seeds=2,-1,3"]) == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--k", "--n"])
+    def test_count_below_one_fails_before_reading_the_corpus(self, flag, tmp_path, capsys):
+        assert run(["compare", "--corpus", str(tmp_path / "missing"), flag, "0"]) == 1
+        assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
 
 
 class TestGradcheck:

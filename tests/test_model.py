@@ -4,12 +4,14 @@ hand computations or independent re-implementations."""
 
 import gc
 import math
+import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tripletrec import model as M
@@ -297,6 +299,19 @@ def brute_force_user_ranking(model, u, item_ids, item_features, k):
     return [iid for _, iid in scored[: min(k, len(scored))]]
 
 
+@st.composite
+def top_k_cases(draw):
+    """(candidates as (id, distance) pairs, k): ids repeat, distances tie
+    often and take +-inf and NaN, and k runs past the candidate count."""
+    candidates = draw(st.lists(
+        st.tuples(st.integers(0, 12),
+                  st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf, -np.inf, np.nan])
+                  | st.floats(allow_nan=True, allow_infinity=True)),
+        min_size=1, max_size=30,
+    ))
+    return candidates, draw(st.integers(1, len(candidates) + 2))
+
+
 class TestRanking:
     def _setup(self, seed=0, n=30):
         m = tiny_model(seed=seed)
@@ -337,6 +352,21 @@ class TestRanking:
         with pytest.warns(UserWarning, match="only 4 candidates"):
             got = M.rank_items_for_user(m, u, item_ids, feats, 10)
         assert sorted(got.tolist()) == item_ids.tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(top_k_cases())
+    @example(([(3, np.nan), (1, 2.0), (2, np.nan)], 2))  # the k-th distance is NaN
+    def test_top_k_equals_the_full_lexsort(self, case):
+        candidates, k = case
+        ids = np.array([i for i, _ in candidates])
+        d = np.array([x for _, x in candidates], dtype=np.float64)
+        want = ids[np.lexsort((ids, d))[:k]]
+        # at every size, by both paths: partition first, and one lexsort
+        for partition_min in (1, M.TOP_K_PARTITION_MIN):
+            with mock.patch.object(M, "TOP_K_PARTITION_MIN", partition_min), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # k above the candidate count warns
+                assert np.array_equal(M._top_k(ids, d, k, "items"), want)
 
     def test_item_at_user_latent_ranks_first(self):
         # pass-through towers (identity weights, no normalization) make item
@@ -569,19 +599,32 @@ class TestArena:
 
 
 def reference_tower_backward(tower, d_z, caches):
-    """Every layer's full linear backward, the first layer's input gradient
-    included, as an independent statement of the tower's backward pass."""
-    hidden_caches, (x, w, b) = caches
-    w.grad += x.T @ d_z
-    b.grad += d_z.sum(axis=0, keepdims=True)
-    d = d_z @ w.value.T
-    for (x, w, b), norm_cache, relu_cache, mask in reversed(hidden_caches):
-        d = N.dropout_backward(d, mask)
-        d = d * (relu_cache > 0.0)
-        if norm_cache is not None:
-            d = N.layer_norm_backward(d, norm_cache)
-        w.grad += x.T @ d
-        b.grad += d.sum(axis=0, keepdims=True)
+    """Every layer's full linear backward over the batch's rows, the first
+    layer's input gradient included, as an independent statement of the
+    tower's backward pass."""
+    hidden_caches, final_cache, inverse = caches
+    layers = [final_cache] + [c[0] for c in reversed(hidden_caches)]
+    d = d_z
+    for i, lin_cache in enumerate(layers):
+        if i:
+            _, norm_cache, relu_cache, mask = hidden_caches[-i]
+            d = N.dropout_backward(d, mask)
+            d = d * (relu_cache > 0.0)
+            if norm_cache is not None:
+                d = N.layer_norm_backward(d, norm_cache)
+        if i < len(hidden_caches):
+            x, w, b = lin_cache
+            parts = [(x, d)]
+        else:  # the first layer: one cache per input array
+            xs = [c[0] for c in lin_cache]
+            w, b = lin_cache[0][1:]
+            if inverse is None:  # the arrays' rows stacked, one product each
+                parts = list(zip(xs, np.split(d, np.cumsum([len(x) for x in xs])[:-1])))
+            else:  # the batch's rows gathered from the distinct rows
+                parts = [(xs[0][inverse], d)]
+        for x, d_part in parts:
+            w.grad += x.T @ d_part
+            b.grad += d_part.sum(axis=0, keepdims=True)
         d = d @ w.value.T
     return d
 
@@ -620,3 +663,117 @@ class TestTowerBackward:
         assert len(calls) == len(m.item_tower.weights) - 1 == 3
         assert all(c[1] is not m.item_tower.weights[0] for c in calls)
         assert m.item_tower.weights[0].grad.any()
+
+
+def per_branch_triplet_loss(m, u, xi, xj, labels, rng):
+    """The triplet loss with one item-tower pass per branch, branch i's first."""
+    z_u, cache_u = M.tower_forward(m.user_tower, u, True, rng)
+    z_i, cache_i = M.tower_forward(m.item_tower, xi, True, rng)
+    z_j, cache_j = M.tower_forward(m.item_tower, xj, True, rng)
+    d_i, cd_i = M.distance_forward(m.head, z_u, z_i)
+    d_j, cd_j = M.distance_forward(m.head, z_u, z_j)
+    o = d_i - d_j
+    d_o = (N.sigmoid_stable(o) - labels) / o.shape[0]
+    d_zu_i, d_zi = M.distance_backward(m.head, d_o, cd_i)
+    d_zu_j, d_zj = M.distance_backward(m.head, -d_o, cd_j)
+    M.tower_backward(m.user_tower, d_zu_i + d_zu_j, cache_u)
+    M.tower_backward(m.item_tower, d_zi, cache_i)
+    M.tower_backward(m.item_tower, d_zj, cache_j)
+    return float(N.bce_loss_from_logit(o, labels).mean())
+
+
+def per_branch_twonet_loss(m, u, x, labels, rng):
+    z_u, cache_u = M.tower_forward(m.user_tower, u, True, rng)
+    z_i, cache_i = M.tower_forward(m.item_tower, x, True, rng)
+    d, cd = M.distance_forward(m.head, z_u, z_i)
+    d_zu, d_zi = M.distance_backward(m.head, -(N.sigmoid_stable(-d) - labels) / d.shape[0], cd)
+    M.tower_backward(m.user_tower, d_zu, cache_u)
+    M.tower_backward(m.item_tower, d_zi, cache_i)
+    return float(N.bce_loss_from_logit(-d, labels).mean())
+
+
+class TestStackedItemPass:
+    """Both losses run the item tower once over the stacked branches, its
+    first layer once per distinct catalogue row; the rows below repeat within
+    each branch and across the two."""
+
+    ROWS_I = np.array([0, 3, 3, 5, 1, 0, 2])
+    ROWS_J = np.array([3, 1, 4, 0, 0, 2, 2])
+    GRAD_RTOL = 1e-12  # of each tensor's largest entry
+
+    def batch(self, seed):
+        gen = np.random.default_rng(seed)
+        items = gen.normal(size=(6, 5))
+        u = gen.normal(size=(len(self.ROWS_I), 3))
+        labels = gen.integers(0, 2, size=len(self.ROWS_I)).astype(float)
+        return u, items, labels
+
+    def model(self, seed):
+        m = tiny_model(seed=seed, hidden=(6, 4, 3), dropout=0.3)
+        gen = np.random.default_rng(seed + 1)
+        for p in m.parameters():  # biases too, so no ReLU sits at its kink
+            assign(p, gen.normal(scale=0.4, size=p.shape))
+        return m
+
+    def run(self, seed, call):
+        """(loss, rng counter after, gradients) of ``call(model, rng)``."""
+        m, rng = self.model(seed), RngState(seed)
+        loss = call(m, rng)
+        return loss, rng.counter, [p.grad.copy() for p in m.parameters()]
+
+    @pytest.mark.parametrize("kind", ["triplet", "twonet"])
+    @pytest.mark.parametrize("path", ["rows", "features"])
+    def test_equals_one_pass_per_branch(self, kind, path, monkeypatch):
+        u, items, labels = self.batch(5)
+        xi, xj = items[self.ROWS_I], items[self.ROWS_J]
+        first_layer_rows = []
+        linear_forward = M.linear_forward
+
+        def recording(x, w, b):
+            if w.value.shape[0] == items.shape[1]:  # no other layer is 5 wide
+                first_layer_rows.append(x.shape[0])
+            return linear_forward(x, w, b)
+
+        def stacked(m, rng):
+            if path == "rows":
+                kw, bi, bj = {"items": items}, self.ROWS_I, self.ROWS_J
+            else:
+                kw, bi, bj = {}, xi, xj
+            if kind == "triplet":
+                return M.triplet_loss_and_grads(m, u, bi, bj, labels, True, rng, **kw)
+            return M.twonet_loss_and_grads(m, u, bi, labels, True, rng, **kw)
+
+        def per_branch(m, rng):
+            if kind == "triplet":
+                return per_branch_triplet_loss(m, u, xi, xj, labels, rng)
+            return per_branch_twonet_loss(m, u, xi, labels, rng)
+
+        monkeypatch.setattr(M, "linear_forward", recording)
+        loss, counter, grads = self.run(7, stacked)
+        want_loss, want_counter, want_grads = self.run(7, per_branch)
+        branches = (self.ROWS_I, self.ROWS_J) if kind == "triplet" else (self.ROWS_I,)
+        # the first layer multiplies the distinct catalogue rows, or each feature array
+        want_rows = ([len(np.unique(np.concatenate(branches)))] if path == "rows"
+                     else [len(b) for b in branches])
+        assert first_layer_rows[:len(want_rows)] == want_rows
+        assert loss == want_loss
+        assert counter == want_counter
+        for got, want in zip(grads, want_grads):
+            assert np.abs(got - want).max() <= self.GRAD_RTOL * np.abs(want).max()
+        assert any(g.any() for g in grads)
+
+    @pytest.mark.parametrize("kind", ["triplet", "twonet"])
+    def test_gradients_match_finite_differences(self, kind):
+        u, items, labels = self.batch(6)
+        m = self.model(8)
+
+        def loss():
+            # a fresh RngState per call freezes the dropout masks across probes
+            if kind == "triplet":
+                return M.triplet_loss_and_grads(m, u, self.ROWS_I, self.ROWS_J, labels,
+                                                True, RngState(3), items=items)
+            return M.twonet_loss_and_grads(m, u, self.ROWS_I, labels, True, RngState(3),
+                                           items=items)
+
+        report = grad_check(loss, m.parameters(), h=1e-4)
+        assert report.passed, report.summary()

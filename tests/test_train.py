@@ -5,7 +5,10 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -143,11 +146,12 @@ class TestTrainLoop:
         M.triplet_loss_and_grads(
             model,
             store.user_topics[u[perm]],
-            store.item_features[i[perm]],
-            store.item_features[j[perm]],
+            i[perm],
+            j[perm],
             y[perm],
             training=True,
             rng=rng,
+            items=store.item_features,
         )
         adam_step(model.parameters(), lr=config.learning_rate, step=1)
         zero_grads(model.parameters())
@@ -401,3 +405,35 @@ class TestCheckpoint:
             loaded.model, store.user_topics[0], store.item_ids, store.item_features, 5
         )
         assert np.array_equal(before, after)
+
+
+# One training step at the production shape (7560-dim items, item tower
+# [1024, 256, 64, 16], batch 256 from 200 items); the child prints the
+# sha256 of the trained model's arena.
+PRODUCTION_STEP = """
+import hashlib, io
+from tripletrec import data as D, model as M
+from tripletrec.train import TrainConfig, train
+store = D.generate_synthetic(D.SynthConfig(num_tags=5, users_per_tag=4, items_per_tag=40, seed=11))
+triplets = D.build_triplets(store, D.PairingStrategy.unbalanced(), seed=11)[:256]
+config = TrainConfig(epochs=1, batch_size=256, seed=11, user_tower=M.TowerSpec(5, [32, 32, 16, 16]))
+ckpt = train(store, triplets, config, log_stream=io.StringIO())
+assert len(triplets) == 256 and ckpt.model.item_tower.spec.hidden_dims == [1024, 256, 64, 16]
+print(hashlib.sha256(ckpt.model.arena.value.tobytes()).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_production_step_is_bit_identical_at_a_fixed_blas_thread_count(threads):
+    """Same-seed runs give one arena digest for a given BLAS thread count.
+    Across counts they need not: the first layer's forward product sums in
+    another order with two threads than with one."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": str(Path(M.__file__).parents[1])}
+    digests = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, "-c", PRODUCTION_STEP], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
