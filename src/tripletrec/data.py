@@ -20,12 +20,19 @@ columns to store rows with ``FeatureStore.user_rows`` and ``item_rows``.
 Loading gives exactly what was saved or raises DataError naming the file, the
 line and, for a bad cell, the column: bytes that are not UTF-8, CSV syntax
 errors, rows whose width differs from the header's, cells that are not finite
-numbers, and ids or tags outside int64.
+numbers, and ids or tags outside int64. ``csv`` reads the header; one
+``np.loadtxt`` call parses the whole body in C, with ids and tags as int64 and
+topics and features as float64. A file that call rejects, or might read
+otherwise than ``csv`` and Python's ``int`` and ``float`` would (a non-ASCII
+byte, a cell over csv's field limit, a header over more than one line, a
+non-finite value), goes to the Python reader, which loads what it accepts and
+raises the DataError for the rest.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -99,8 +106,12 @@ class SynthConfig:
     def __post_init__(self):
         if min(self.num_tags, self.users_per_tag, self.items_per_tag, self.frames, self.frame_dim) < 1:
             raise ValueError("all synthetic corpus counts must be >= 1")
-        if self.feature_noise_std < 0:
-            raise ValueError("feature noise std must be >= 0")
+        if not (math.isfinite(self.feature_noise_std) and self.feature_noise_std >= 0):
+            raise ValueError(f"feature noise std must be a finite number >= 0, "
+                             f"got {self.feature_noise_std}")
+        if not (math.isfinite(self.topic_sharpness) and self.topic_sharpness >= 0):
+            raise ValueError(f"topic sharpness must be a finite number >= 0, "
+                             f"got {self.topic_sharpness}")
 
 
 @dataclass
@@ -220,36 +231,110 @@ def _parse_columns(table: _Table, cols: slice, dtype) -> np.ndarray:
     return flat.reshape(len(table.rows), len(names))
 
 
-def load_corpus(users_path, items_path) -> FeatureStore:
-    """Read users and items CSVs into a validated FeatureStore."""
-    users = _read_table(users_path)
-    header = users.header
+def _plain_bytes(path) -> bool:
+    """Whether the file's bytes leave ``np.loadtxt`` no way to read a cell
+    otherwise than ``csv`` and Python's ``int`` and ``float``. Every byte is
+    ASCII: numpy's int64 parser has read the cell U+2D6EA as 186042. None is
+    0x1c-0x1f, which numpy strips around a number and Python rejects. And no
+    cell passes csv's field limit: each aligned block of (limit + 2) // 2
+    bytes holds a comma, which bounds every run between two commas by it.
+    A smaller block only tightens that bound, so a raised limit is capped to
+    keep the chunks read at a few MB."""
+    block = (min(csv.field_size_limit(), 1 << 20) + 2) // 2
+    with open(path, "rb") as fh:
+        while chunk := fh.read(16 * block):
+            if not chunk.isascii() or any(c in chunk for c in b"\x1c\x1d\x1e\x1f"):
+                return False
+            b = np.frombuffer(chunk, np.uint8)
+            if not (b[: len(b) // block * block].reshape(-1, block) == ord(",")).any(axis=1).all():
+                return False
+    return True
+
+
+def _loadtxt_columns(path, groups) -> list[np.ndarray] | None:
+    """``_load_columns`` in one ``np.loadtxt`` call, or None where that call
+    fails, warns, or might read the file otherwise than the csv path."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            one_line = reader.line_num == 1
+    except (OSError, ValueError, csv.Error):
+        return None
+    dtype = np.dtype([(f"c{k}", dt, (len(header[cols]),))
+                      for k, (cols, dt) in enumerate(groups(path, header))])
+    if not one_line or not _plain_bytes(path):
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body only warns
+            body = np.loadtxt(path, dtype, delimiter=",", comments=None, skiprows=1,
+                              encoding="utf-8", ndmin=1)
+    except (OSError, ValueError, Warning):
+        return None
+    arrays = [np.ascontiguousarray(body[name]) for name in dtype.names]
+    return arrays if all(np.isfinite(a).all() for a in arrays) else None
+
+
+def _load_columns(path, groups) -> list[np.ndarray]:
+    """A CSV table's column groups as ``_parse_columns`` gives them: one
+    (rows, columns) array each. ``groups(path, header)`` checks the header
+    and returns (columns, dtype) pairs that cover it left to right. The body is
+    parsed by one ``np.loadtxt`` call; a file that call rejects goes to
+    ``_read_table`` and ``_parse_columns``, which load it or raise the
+    DataError naming its line and column."""
+    arrays = _loadtxt_columns(path, groups)
+    if arrays is None:
+        table = _read_table(path)
+        arrays = [_parse_columns(table, cols, dtype) for cols, dtype in groups(path, table.header)]
+    return arrays
+
+
+# Each file kind's header check: its column groups as (columns, dtype) pairs,
+# or DataError.
+
+
+def _user_groups(path, header):
     if header[:1] != ["user_id"]:
-        raise DataError(f"{users_path}: expected header user_id,t0,...[,tag]")
+        raise DataError(f"{path}: expected header user_id,t0,...[,tag]")
     topics_end = len(header) - (header[-1] == "tag")
     if topics_end < 2:
-        raise DataError(f"{users_path}: no topic columns in header")
-    if not users.rows:
+        raise DataError(f"{path}: no topic columns in header")
+    tag = [(slice(topics_end, None), np.int64)] if topics_end < len(header) else []
+    return [(slice(0, 1), np.int64), (slice(1, topics_end), np.float64), *tag]
+
+
+def _item_groups(path, header):
+    if len(header) < 3 or header[:2] != ["item_id", "tag"]:
+        raise DataError(f"{path}: expected header item_id,tag,f0,...")
+    return [(slice(0, 1), np.int64), (slice(1, 2), np.int64), (slice(2, None), np.float64)]
+
+
+def _triplet_groups(path, header):
+    if header != ["user_id", "item_i", "item_j", "label"]:
+        raise DataError(f"{path}: expected header user_id,item_i,item_j,label")
+    return [(slice(0, 4), np.int64)]
+
+
+def load_corpus(users_path, items_path) -> FeatureStore:
+    """Read users and items CSVs into a validated FeatureStore."""
+    users = _load_columns(users_path, _user_groups)
+    user_ids, user_topics = users[0][:, 0], users[1]
+    if not len(user_ids):
         raise DataError(f"{users_path}: no users")
-    user_ids = _parse_columns(users, slice(0, 1), np.int64)[:, 0]
     if len(np.unique(user_ids)) != len(user_ids):
         raise DataError(f"{users_path}: duplicate user ids")
-    user_topics = _parse_columns(users, slice(1, topics_end), np.float64)
-    if topics_end < len(header):
-        user_tags = _parse_columns(users, slice(topics_end, None), np.int64)[:, 0]
+    if len(users) == 3:
+        user_tags = users[2][:, 0]
     else:  # each row's argmax; a tie goes to the lowest index
         user_tags = np.argmax(user_topics, axis=1).astype(np.int64)
 
-    items = _read_table(items_path)
-    if len(items.header) < 3 or items.header[:2] != ["item_id", "tag"]:
-        raise DataError(f"{items_path}: expected header item_id,tag,f0,...")
-    if not items.rows:
+    item_ids, item_tags, item_features = _load_columns(items_path, _item_groups)
+    item_ids, item_tags = item_ids[:, 0], item_tags[:, 0]
+    if not len(item_ids):
         raise DataError(f"{items_path}: no items")
-    item_ids = _parse_columns(items, slice(0, 1), np.int64)[:, 0]
     if len(np.unique(item_ids)) != len(item_ids):
         raise DataError(f"{items_path}: duplicate item ids")
-    item_tags = _parse_columns(items, slice(1, 2), np.int64)[:, 0]
-    item_features = _parse_columns(items, slice(2, None), np.float64)
     return FeatureStore(user_ids, user_topics, user_tags, item_ids, item_features, item_tags)
 
 
@@ -258,49 +343,42 @@ def load_corpus_dir(corpus_dir) -> FeatureStore:
     return load_corpus(d / "users.csv", d / "items.csv")
 
 
+def _write_csv(path, header: list[str], rows) -> None:
+    """Rows of Python ints and floats, each cell its ``repr``: the bytes
+    ``csv.writer`` writes for them, CRLF line ends included."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+
+
 def save_corpus(store: FeatureStore, corpus_dir) -> None:
     """Write users.csv and items.csv into a directory."""
     d = Path(corpus_dir)
     d.mkdir(parents=True, exist_ok=True)
-    topic_dim = store.user_topics.shape[1]
-    with open(d / "users.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", *[f"t{j}" for j in range(topic_dim)], "tag"])
-        for i in range(store.n_users):
-            w.writerow(
-                [int(store.user_ids[i]),
-                 *[repr(float(v)) for v in store.user_topics[i]],
-                 int(store.user_tags[i])]
-            )
-    feat_dim = store.item_features.shape[1]
-    with open(d / "items.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["item_id", "tag", *[f"f{j}" for j in range(feat_dim)]])
-        for i in range(store.n_items):
-            w.writerow(
-                [int(store.item_ids[i]), int(store.item_tags[i]),
-                 *[repr(float(v)) for v in store.item_features[i]]]
-            )
+    topics = store.user_topics.astype(np.float64, copy=False)
+    _write_csv(d / "users.csv", ["user_id", *[f"t{j}" for j in range(topics.shape[1])], "tag"],
+               ([uid, *row.tolist(), tag] for uid, row, tag in
+                zip(store.user_ids.astype(np.int64).tolist(), topics,
+                    store.user_tags.astype(np.int64).tolist())))
+    features = store.item_features.astype(np.float64, copy=False)
+    _write_csv(d / "items.csv", ["item_id", "tag", *[f"f{j}" for j in range(features.shape[1])]],
+               ([iid, tag, *row.tolist()] for iid, tag, row in
+                zip(store.item_ids.astype(np.int64).tolist(),
+                    store.item_tags.astype(np.int64).tolist(), features)))
 
 
 def save_triplets(triplets: np.recarray, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["user_id", "item_i", "item_j", "label"])
-        w.writerows(triplets.tolist())
+    _write_csv(path, ["user_id", "item_i", "item_j", "label"], triplets.tolist())
 
 
 def load_triplets(path) -> np.recarray:
-    table = _read_table(path)
-    if table.header != ["user_id", "item_i", "item_j", "label"]:
-        raise DataError(f"{path}: expected header user_id,item_i,item_j,label")
-    if not table.rows:
+    (cells,) = _load_columns(path, _triplet_groups)
+    if not len(cells):
         raise DataError(f"{path}: no triplets")
-    cells = _parse_columns(table, slice(0, 4), np.int64)
     bad = np.flatnonzero(~np.isin(cells[:, 3], (0, 1)))
     if bad.size:
-        line, label = table.rows[bad[0]][0], cells[bad[0], 3]
-        raise DataError(f"{path}: line {line}: label must be 0 or 1, got {label}")
+        line = _read_table(path).rows[bad[0]][0]
+        raise DataError(f"{path}: line {line}: label must be 0 or 1, got {cells[bad[0], 3]}")
     return triplet_array(*cells.T)
 
 

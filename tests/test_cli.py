@@ -77,6 +77,16 @@ class TestSynth:
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--noise=nan", "--noise=inf", "--topic-sharpness=-3",
+                                      "--topic-sharpness=nan", "--topic-sharpness=inf"])
+    def test_value_whose_corpus_breaks_its_contract_exits_1_writing_nothing(
+        self, flag, tmp_path, capsys
+    ):
+        out = tmp_path / "corpus"
+        assert run([*SYNTH, flag, "--out", str(out)]) == 1
+        assert "must be a finite number >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBuildPairs:
     def test_one_to_n_count(self, tmp_path, corpus_dir, capsys):

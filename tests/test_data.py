@@ -8,9 +8,10 @@ import io
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from tripletrec import data as data_module
 from tripletrec.data import (
     DataError,
     FeatureStore,
@@ -26,6 +27,15 @@ from tripletrec.data import (
     save_triplets,
     split_train_test,
     triplet_array,
+)
+from tripletrec.data import (
+    _item_groups,
+    _load_columns,
+    _loadtxt_columns,
+    _parse_columns,
+    _read_table,
+    _triplet_groups,
+    _user_groups,
 )
 
 SMALL = SynthConfig(num_tags=3, users_per_tag=4, items_per_tag=5,
@@ -182,6 +192,185 @@ def test_corrupted_csv_loads_or_raises_data_error(data, saved_files):
             pass
 
 
+GROUPS = {"users.csv": _user_groups, "items.csv": _item_groups, "pairs.csv": _triplet_groups}
+
+# Cells either reader may take differently: non-finite numbers, quotes,
+# underscores, hex, non-ASCII digits, separators inside a cell, int64 edges,
+# and cells at csv's field limit (131,072 characters) and one past it.
+ODD_CELLS = [
+    "1e-400", '"0.5"', '"1', 'x"', "1_0", "0x10", "0x1p-2",
+    "+7", "-0", "-0.0", "007", "1e3", "1.0", ".5", "5.", "", "-", "\u0663", "\U0002d6ea", "7,",
+    "7\r8", "7\n8",
+]
+CELLS = st.one_of(
+    st.text(),
+    st.sampled_from(ODD_CELLS),
+    st.sampled_from(["nan", "-inf", "Infinity", "1e400"]),
+    st.floats().map(repr),
+    st.integers().map(str),
+    st.integers(2**63 - 2, 2**63 + 1).map(str),
+    st.integers(-(2**63) - 1, -(2**63) + 1).map(str),
+    st.sampled_from(["0" * 131071 + "7", "0" * 131072 + "7"]),
+)
+# Characters around a number: whitespace to both readers, the bytes 0x1c-0x1f
+# that numpy strips and Python does not, a BOM and a NUL.
+PADS = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\u3000", "\ufeff", "\x00"]
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """A saved file with a few cells replaced or padded, blank or
+    whitespace-only lines inserted, its line ends all LF, CRLF or CR, and
+    maybe a BOM or a header cell whose quote never closes."""
+    rows = list(csv.reader(io.StringIO(blob.decode("utf-8"), newline="")))
+    for _ in range(draw(st.integers(0, 2))):
+        row = rows[draw(st.integers(1, len(rows) - 1))]
+        col = draw(st.integers(0, len(row) - 1))
+        pad = draw(st.sampled_from(PADS))
+        row[col] = draw(st.sampled_from([pad + row[col], row[col] + pad]) | CELLS)
+    if draw(st.integers(0, 9)) == 0:
+        rows[0][-1] = '"' + rows[0][-1]
+    lines = [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", " ", "\t"])))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return ("\ufeff" * (draw(st.integers(0, 9)) == 0) + text).encode("utf-8")
+
+
+def csv_path_columns(path, groups):
+    table = _read_table(path)
+    return [_parse_columns(table, cols, dtype) for cols, dtype in groups(path, table.header)]
+
+
+def outcome(load, path, groups):
+    try:
+        return load(path, groups)
+    except DataError:
+        return DataError
+
+
+def as_bytes(arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_loadtxt_path_matches_csv_path(data, saved_files):
+    """Where the one-call parse gives arrays, the csv path gives the same
+    bytes, dtypes and shapes; where it raises DataError, so does the csv
+    path. None means it handed the file over to the csv path."""
+    files, out = saved_files
+    name = data.draw(st.sampled_from(sorted(files)))
+    path = out / name
+    path.write_bytes(data.draw(mutated(files[name])))
+    fast = outcome(_loadtxt_columns, path, GROUPS[name])
+    slow = outcome(csv_path_columns, path, GROUPS[name])
+    event("handed over" if fast is None else "DataError" if fast is DataError else "loaded")
+    if fast is DataError:
+        assert slow is DataError
+    elif fast is not None:
+        assert slow is not DataError
+        assert as_bytes(fast) == as_bytes(slow)
+        assert all(a.flags.c_contiguous for a in fast)
+
+
+HANDED_OVER = {  # items files that np.loadtxt alone would load, and csv would not or not alike
+    "cell-past-field-limit": "item_id,tag,f0\n1,0," + "0" * 131072 + "7\n",
+    "cell-at-field-limit": "item_id,tag,f0\n1,0," + "0" * 131071 + "7\n",
+    "0x1c-around-a-number": "item_id,tag,f0\n1,0,\x1c7\n",
+    "non-ascii-id": "item_id,tag,f0\n\U0002d6ea,0,7\n",
+    "header-quote-never-closes": 'item_id,tag,"f0\n1,0,7\n',
+    "id-past-int64": "item_id,tag,f0\n9223372036854775808,0,7\n",
+    "non-finite-feature": "item_id,tag,f0\n1,0,inf\n",
+    "no-rows": "item_id,tag,f0\n",
+}
+
+
+@pytest.mark.parametrize("text", HANDED_OVER.values(), ids=HANDED_OVER)
+def test_loadtxt_path_hands_over(text, tmp_path):
+    path = tmp_path / "items.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    assert _loadtxt_columns(path, _item_groups) is None
+    slow = outcome(csv_path_columns, path, _item_groups)
+    assert slow is DataError or as_bytes(_load_columns(path, _item_groups)) == as_bytes(slow)
+
+
+def assert_same_store(got: FeatureStore, want: FeatureStore):
+    for name in ("user_ids", "user_topics", "user_tags", "item_ids", "item_features", "item_tags"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+        assert a.flags.c_contiguous, name
+
+
+class TestLoadtxtPath:
+    """Every file the savers write loads in the one np.loadtxt call, never
+    the csv path: a change that sent every file there would pass every
+    other test."""
+
+    @pytest.fixture(autouse=True)
+    def no_csv_path(self, monkeypatch):
+        def refuse(path):
+            raise AssertionError(f"{path} went to the csv path")
+
+        monkeypatch.setattr(data_module, "_read_table", refuse)
+
+    @pytest.mark.parametrize("tags, users, items, frames, frame_dim", [
+        (5, 20, 40, 6, 30), (2, 1, 2, 20, 378), (1, 1, 1, 1, 1),
+    ], ids=["desk", "production-width", "one-row"])
+    def test_saved_corpus(self, tags, users, items, frames, frame_dim, tmp_path):
+        store = generate_synthetic(SynthConfig(num_tags=tags, users_per_tag=users,
+                                               items_per_tag=items, seed=5,
+                                               frames=frames, frame_dim=frame_dim))
+        save_corpus(store, tmp_path)
+        assert_same_store(load_corpus_dir(tmp_path), store)
+
+    def test_users_file_without_tag_column(self, tmp_path):
+        store = small_store()
+        save_corpus(store, tmp_path)
+        with open(tmp_path / "users.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(tmp_path / "users.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(row[:-1] for row in rows)
+        assert_same_store(load_corpus_dir(tmp_path), store)  # each user's own tag dominates
+
+    @pytest.mark.parametrize("n", [1, 2000])
+    def test_saved_pairs(self, n, tmp_path):
+        gen = np.random.default_rng(n)
+        ids = [gen.integers(-(2**63), 2**63 - 1, n, endpoint=True) for _ in range(3)]
+        triplets = triplet_array(*ids, gen.integers(0, 2, n))
+        save_triplets(triplets, tmp_path / "pairs.csv")
+        loaded = load_triplets(tmp_path / "pairs.csv")
+        assert (loaded.dtype, loaded.tobytes()) == (triplets.dtype, triplets.tobytes())
+
+
+def test_save_corpus_writes_the_bytes_of_csv_writer(tmp_path):
+    store = FeatureStore(
+        user_ids=np.array([2**63 - 1, -(2**63), 0]),
+        user_topics=np.array([[-0.0, 5e-324], [1e16, 1e-5], [0.1, -1.5e300]]),
+        user_tags=np.array([1, 0, 2**62]),
+        item_ids=np.array([-(2**63), 2**63 - 1]),
+        item_features=np.array([[-0.0, 5e-324, 1e16], [1e-5, 2.5, -7.0]]),
+        item_tags=np.array([0, 1]),
+    )
+    save_corpus(store, tmp_path / "saved")
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    with open(reference / "users.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["user_id", "t0", "t1", "tag"])
+        for uid, topics, tag in zip(store.user_ids, store.user_topics, store.user_tags):
+            w.writerow([int(uid), *[repr(float(v)) for v in topics], int(tag)])
+    with open(reference / "items.csv", "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["item_id", "tag", "f0", "f1", "f2"])
+        for iid, tag, features in zip(store.item_ids, store.item_tags, store.item_features):
+            w.writerow([int(iid), int(tag), *[repr(float(v)) for v in features]])
+    for name in ("users.csv", "items.csv"):
+        assert (tmp_path / "saved" / name).read_bytes() == (reference / name).read_bytes()
+    assert_same_store(load_corpus_dir(tmp_path / "saved"), store)
+
+
 class TestGenerateSynthetic:
     def test_zero_noise_makes_items_identical_within_tag(self):
         cfg = SynthConfig(num_tags=2, users_per_tag=2, items_per_tag=4,
@@ -224,6 +413,15 @@ class TestGenerateSynthetic:
             SynthConfig(num_tags=0)
         with pytest.raises(ValueError):
             SynthConfig(feature_noise_std=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("feature_noise_std", float("nan")), ("feature_noise_std", float("inf")),
+        ("topic_sharpness", -3.0), ("topic_sharpness", float("nan")),
+        ("topic_sharpness", float("inf")),
+    ])
+    def test_value_the_loader_or_the_tag_would_refuse_rejected(self, field, value):
+        with pytest.raises(ValueError, match="must be a finite number >= 0"):
+            SynthConfig(**{field: value})
 
 
 def label_invariant_holds(triplets, store):
