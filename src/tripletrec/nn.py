@@ -10,13 +10,27 @@ cache, accumulates parameter gradients in place on the owning
 reads, returns nothing).
 Accumulation (``+=``) is deliberate: parameters referenced from several
 branches of a network collect contributions from every branch.
+
+A few large products and passes run as fixed blocks on a per-process pool of
+worker threads: the forward and weight-gradient products of a linear layer
+whose weight has at least SPLIT_MIN elements (at the production shape only
+the item tower's 7560 x 1024 first layer), and the ADAM_CHUNK chunks of
+:func:`adam_step` and :func:`zero_grads`. The pool has one worker per CPU the
+process may run on at one BLAS thread (``OPENBLAS_NUM_THREADS=1``); with t
+BLAS threads, each block's product runs its own t threads and the pool has
+one worker per t CPUs, so with the BLAS's default of one thread per CPU it
+has one and runs every block on the calling thread. The blocks depend on
+array shapes only, never on the worker count, so the bits depend on the BLAS
+thread count but not on the CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -145,10 +159,104 @@ def fuse(params) -> list[ParamTensor]:
     return params
 
 
+# ---------------------------------------------------------------------------
+# Worker pool
+# ---------------------------------------------------------------------------
+
+
+class _Pool:
+    """``size`` workers for :func:`_spread`; a pool of one has no threads."""
+
+    def __init__(self, size: int):
+        # imported here, so a process that never splits does not pay the
+        # 0.6 MB of resident memory that the thread machinery takes
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.size = size
+        self.executor = ThreadPoolExecutor(size) if size > 1 else None
+
+
+_pool: _Pool | None = None  # made by the first _spread over more than one block
+
+
+def _forget_pool() -> None:
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):  # a forked child has none of the threads
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _cpu_count() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads per BLAS product, read as OpenBLAS reads them at load: the
+    first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, else one per CPU, and at most one per CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), _cpu_count())
+    return _cpu_count()
+
+
+def _workers() -> int:
+    """The pool's size: the CPUs this process may run on, shared out among
+    the BLAS threads, so that workers and BLAS threads (which spin while they
+    wait for work) do not contend for the same CPUs."""
+    return max(1, _cpu_count() // _blas_threads())
+
+
+def _spread(n: int, work, *scratch: tuple[int, ...]) -> None:
+    """Call ``work(lo, hi, *buffers)`` over contiguous ranges [lo, hi) that
+    cover blocks 0..n-1, one range per worker of the process's pool, and
+    return once every range is done, raising the first error. Each range
+    gets its own ``np.empty`` buffers of the ``scratch`` shapes, made here,
+    so no worker allocates anything large. Writes to parameter values must
+    happen inside the caller's :func:`writing` block.
+
+    The ranges depend on the worker count, the blocks do not, so ``work``
+    must do each block the same way whichever range holds it. It may call
+    only numpy, no tripletrec function: the bench's tracer wraps those and
+    is not thread-safe. The pool is made at the first call with ``n > 1``,
+    so importing the package or training at a small shape starts no thread.
+    """
+    global _pool
+    if n > 1 and _pool is None:
+        _pool = _Pool(_workers())
+    k = min(n, _pool.size) if n > 1 else 1
+    if k == 1:
+        work(0, n, *(np.empty(s) for s in scratch))
+        return
+    from concurrent.futures import wait
+
+    bounds = [n * i // k for i in range(k + 1)]
+    futures = [_pool.executor.submit(work, lo, hi, *(np.empty(s) for s in scratch))
+               for lo, hi in zip(bounds, bounds[1:])]
+    wait(futures)
+    for f in futures:
+        f.result()
+
+
+def _n_chunks(size: int) -> int:
+    return -(-size // ADAM_CHUNK)
+
+
+def _zero_chunks(flat: Array, lo: int, hi: int) -> None:
+    flat[lo * ADAM_CHUNK : hi * ADAM_CHUNK].fill(0.0)
+
+
 def zero_grads(params) -> None:
-    """Clear the gradients; the parts of one arena take one ``fill``."""
+    """Clear the gradients; the parts of one arena are cleared as the arena,
+    its ADAM_CHUNK chunks spread over the worker pool."""
     for p in fuse(params):
-        p.grad.fill(0.0)
+        flat = p.grad.reshape(-1)
+        _spread(_n_chunks(flat.size), partial(_zero_chunks, flat))
 
 
 def glorot_fill(w: Array, gen: np.random.Generator) -> None:
@@ -168,8 +276,54 @@ def glorot_fill(w: Array, gen: np.random.Generator) -> None:
 # ---------------------------------------------------------------------------
 
 
+# A linear layer whose weight has at least SPLIT_MIN elements runs its
+# forward and weight-gradient products as blocks of output rows on the worker
+# pool, each block one product into its rows of the output. The bounds below
+# keep every row summed as in the single product. With OpenBLAS 0.3.31 on an
+# AVX-512 Xeon, a block sums some rows otherwise when it holds one row, or,
+# where the output's width is no multiple of 8, when it ends inside a 48-row
+# tile or does fewer than 100**3 multiply-adds. tests/test_nn.py::TestSplit
+# checks the bits.
+SPLIT_MIN = 1 << 20
+# The forward splits the input's rows into a power-of-two count of blocks of
+# at least SPLIT_ROWS rows, their bounds rounded to multiples of SPLIT_ALIGN.
+# Each block packs the whole weight again (about 15 ms at 7560 x 1024 on one
+# core), so smaller blocks cost more than a second worker saves.
+SPLIT_ROWS = 64
+SPLIT_ALIGN = 48
+# The weight gradient splits the weight's rows into blocks of the fewest
+# multiples of GRAD_ROWS rows that give a block's product SPLIT_MIN
+# multiply-adds; the last block takes the rows left over.
+GRAD_ROWS = 192
+
+
+def _forward_bounds(rows: int) -> list[int]:
+    k = 1 << max(0, (rows // SPLIT_ROWS).bit_length() - 1)
+    step = k * SPLIT_ALIGN
+    return [(rows * i + step // 2) // step * SPLIT_ALIGN for i in range(k)] + [rows]
+
+
+def _grad_bounds(d_in: int, d_out: int, batch: int) -> list[int]:
+    step = GRAD_ROWS * -(-SPLIT_MIN // (GRAD_ROWS * d_out * max(batch, 1)))
+    return [step * i for i in range(max(1, d_in // step))] + [d_in]
+
+
+def _matmul_rows(x: Array, w: Array, out: Array, bounds, lo: int, hi: int) -> None:
+    for r0, r1 in zip(bounds[lo:hi], bounds[lo + 1 : hi + 1]):
+        np.matmul(x[r0:r1], w, out=out[r0:r1])
+
+
+def _weight_grad_rows(x: Array, d_out: Array, grad: Array, bounds, lo: int, hi: int,
+                      scratch: Array) -> None:
+    for r0, r1 in zip(bounds[lo:hi], bounds[lo + 1 : hi + 1]):
+        grad[r0:r1] += np.matmul(x[:, r0:r1].T, d_out, out=scratch[: r1 - r0])
+
+
 def linear_forward(x: Array, w: ParamTensor, b: ParamTensor):
-    """y = x @ W + b with x (batch, d_in), W (d_in, d_out), b (1, d_out)."""
+    """y = x @ W + b with x (batch, d_in), W (d_in, d_out), b (1, d_out).
+
+    From SPLIT_MIN weight elements, ``x @ W`` runs as one product per block
+    of x's rows (see SPLIT_ROWS) on the worker pool."""
     if x.ndim != 2 or x.shape[1] != w.value.shape[0]:
         raise ValueError(
             f"linear_forward: input shape {x.shape} does not conform to "
@@ -180,7 +334,12 @@ def linear_forward(x: Array, w: ParamTensor, b: ParamTensor):
             f"linear_forward: bias shape {b.value.shape} does not conform to "
             f"weight shape {w.value.shape}"
         )
-    out = x @ w.value + b.value
+    if w.value.size < SPLIT_MIN:
+        return x @ w.value + b.value, (x, w, b)
+    out = np.empty((x.shape[0], w.value.shape[1]))
+    bounds = _forward_bounds(x.shape[0])
+    _spread(len(bounds) - 1, partial(_matmul_rows, x, w.value, out, bounds))
+    out += b.value
     return out, (x, w, b)
 
 
@@ -191,9 +350,16 @@ def linear_backward(d_out: Array, cache) -> Array:
 
 def linear_param_backward(d_out: Array, cache) -> None:
     """The weight and bias half of :func:`linear_backward`, for a layer whose
-    input gradient nothing reads."""
+    input gradient nothing reads. From SPLIT_MIN weight elements, ``x.T @
+    d_out`` is added one block of the weight's rows at a time (see
+    GRAD_ROWS) on the worker pool, so the whole product is never formed."""
     x, w, b = cache
-    w.grad += x.T @ d_out
+    if w.value.size < SPLIT_MIN:
+        w.grad += x.T @ d_out
+    else:
+        bounds = _grad_bounds(*w.value.shape, x.shape[0])
+        work = partial(_weight_grad_rows, x, d_out, w.grad, bounds)
+        _spread(len(bounds) - 1, work, (bounds[-1] - bounds[-2], d_out.shape[1]))
     b.grad += d_out.sum(axis=0, keepdims=True)
 
 
@@ -302,6 +468,27 @@ def bce_loss_from_logit(logit, label):
 ADAM_CHUNK = 32768
 
 
+def _adam_chunks(bufs, coeffs, lo: int, hi: int, scratch_a: Array, scratch_b: Array) -> None:
+    """Adam over chunks lo..hi-1 of the flat (value, grad, m, v) buffers."""
+    lr, b1, b2, eps, c1, c2 = coeffs
+    for start in range(lo * ADAM_CHUNK, hi * ADAM_CHUNK, ADAM_CHUNK):
+        value, g, m, v = (buf[start : start + ADAM_CHUNK] for buf in bufs)
+        a, b = scratch_a[: g.size], scratch_b[: g.size]
+        m *= b1
+        m += np.multiply(g, 1.0 - b1, out=a)
+        v *= b2
+        np.square(g, out=a)
+        a *= 1.0 - b2
+        v += a
+        np.divide(m, c1, out=a)
+        a *= lr
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        a /= b
+        value -= a
+
+
 def adam_step(
     params,
     lr: float = 1e-3,
@@ -313,39 +500,23 @@ def adam_step(
 
     The parts of one arena are updated as the arena (see :func:`fuse`). Each
     tensor is walked ADAM_CHUNK elements at a time with in-place ufuncs and
-    two scratch buffers, no full-size temporaries, in the operation order of
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
+    two scratch buffers per worker, no full-size temporaries, in the
+    operation order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g*g,
     value -= lr*(m/c1) / (sqrt(v/c2) + eps), so the result is bit-identical
-    to that formula evaluated tensor by tensor. Gradients are left untouched;
-    the caller zeroes them between steps.
+    to that formula evaluated tensor by tensor. The chunks are spread over
+    the worker pool, each worker taking a contiguous range of them, and the
+    arena's ``version`` moves once, after every chunk is done. Gradients are
+    left untouched; the caller zeroes them between steps.
     """
     if step < 1:
         raise ValueError(f"adam_step: step is 1-based, got {step}")
     b1, b2 = betas
-    c1 = 1.0 - b1 ** step
-    c2 = 1.0 - b2 ** step
-    params = fuse(params)
-    n = min(ADAM_CHUNK, max((p.value.size for p in params), default=0))
-    scratch_a, scratch_b = np.empty(n), np.empty(n)
-    for p in params:
+    coeffs = (lr, b1, b2, eps, 1.0 - b1 ** step, 1.0 - b2 ** step)
+    for p in fuse(params):
         with writing(p) as values:
-            flat = [buf.reshape(-1) for buf in (values, p.grad, p.moment1, p.moment2)]
-            for start in range(0, flat[0].size, ADAM_CHUNK):
-                value, g, m, v = (buf[start : start + ADAM_CHUNK] for buf in flat)
-                a, b = scratch_a[: g.size], scratch_b[: g.size]
-                m *= b1
-                m += np.multiply(g, 1.0 - b1, out=a)
-                v *= b2
-                np.multiply(g, g, out=a)
-                a *= 1.0 - b2
-                v += a
-                np.divide(m, c1, out=a)
-                a *= lr
-                np.divide(v, c2, out=b)
-                np.sqrt(b, out=b)
-                b += eps
-                a /= b
-                value -= a
+            bufs = [buf.reshape(-1) for buf in (values, p.grad, p.moment1, p.moment2)]
+            n = min(ADAM_CHUNK, values.size)
+            _spread(_n_chunks(values.size), partial(_adam_chunks, bufs, coeffs), (n,), (n,))
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ baseline, with binary checkpointing.
 
 (seed, config, data) and the BLAS thread count fully determine every
 parameter after every step: the same run repeated with the same thread count
-gives bitwise-identical checkpoints. Another thread count may not, because a
-large matrix product splits its sums across threads (at the production shape
-the first item layer's forward product does). Each epoch shuffles
+gives bitwise-identical checkpoints, on any number of CPUs. Another thread
+count may not, because a large matrix product splits its sums across threads
+(at the production shape the first item layer's forward product does). The
+CPU count does not: the worker pool of :mod:`nn` splits the first item
+layer's products and the Adam pass into blocks fixed by the arrays' shapes,
+whatever its size. Each epoch shuffles
 the examples (seeded), walks all full batches plus the final partial batch,
 takes one Adam step per batch and zeroes gradients afterwards. One JSON line
 per epoch goes to stdout: ``{"epoch": k, "mean_loss": x, "eval_acc": y?}``.

@@ -3,12 +3,20 @@ the finite-difference checker that the rest of the suite leans on."""
 
 import gc
 import math
+import os
+import subprocess
+import sys
+import time
 import weakref
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from tripletrec import nn as N
 from tripletrec.nn import (
     ParamTensor,
     fuse,
@@ -23,6 +31,7 @@ from tripletrec.nn import (
     layer_norm_forward,
     linear_forward,
     linear_backward,
+    linear_param_backward,
     relu_backward,
     relu_forward,
     sigmoid_stable,
@@ -304,6 +313,180 @@ class TestArena:
             adam_step(loose, lr=0.01, step=step)
         for p, q in zip(parts, loose):
             assert np.array_equal(p.value.view(np.int64), q.value.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """Worker pools of 1, 2 and 3, to stand in for the process's own."""
+    made = {k: N._Pool(k) for k in (1, 2, 3)}
+    yield made
+    for pool in made.values():
+        if pool.executor is not None:
+            pool.executor.shutdown()
+
+
+# Batches of 1-3 rows, and row counts at the forward's block counts (2 blocks
+# from 2 * SPLIT_ROWS rows, 4 from 4 * SPLIT_ROWS) and its rounded bounds
+# (185 and 200 rows split at 96) and one either side.
+SPLIT_BATCHES = [1, 2, 3, 63, 64, 65, 127, 128, 129, 185, 200, 255, 256, 257]
+# Weights of at least SPLIT_MIN elements: the production first layer's row
+# count, row counts at a multiple of GRAD_ROWS and one either side, and
+# widths that are no multiple of 8.
+SPLIT_WEIGHTS = [(7560, 144), (1151, 1024), (1152, 911), (1153, 1031), (1100, 977),
+                 (2000, 525), (65536, 16)]
+# Arena sizes at the Adam chunks' boundaries and one either side.
+CHUNKED_SIZES = [1, N.ADAM_CHUNK - 1, N.ADAM_CHUNK, N.ADAM_CHUNK + 1,
+                 2 * N.ADAM_CHUNK, 3 * N.ADAM_CHUNK + 1, 5 * N.ADAM_CHUNK - 1]
+
+
+# The split products equal the single product bit for bit at one BLAS thread
+# only: with more, the single product shares its rows among BLAS threads
+# otherwise than each block does. There the reference is the split run
+# without workers, and test_split_products_at_one_blas_thread reruns the
+# class in a child at one thread.
+ONE_BLAS_THREAD = N._blas_threads() == 1
+
+
+class TestSplit:
+    """The products and passes that run as blocks on the worker pool equal
+    their single-call forms bit for bit, whatever the pool's size."""
+
+    # no explain phase: where every example fails, its reruns held over 7 GB
+    @settings(max_examples=40, deadline=None,
+              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @given(batch=st.sampled_from(SPLIT_BATCHES), shape=st.sampled_from(SPLIT_WEIGHTS),
+           workers=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_linear_products_equal_the_single_call(self, pools, batch, shape, workers, seed):
+        gen = np.random.default_rng(seed)
+        w, b = ParamTensor(gen.normal(size=shape)), ParamTensor(gen.normal(size=(1, shape[1])))
+        assert w.value.size >= N.SPLIT_MIN
+        w.grad[...], b.grad[...] = gen.normal(size=shape), gen.normal(size=(1, shape[1]))
+        x, d_out = gen.normal(size=(batch, shape[0])), gen.normal(size=(batch, shape[1]))
+        grads = w.grad.copy(), b.grad.copy()
+
+        def run(pool):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(N, "_pool", pool)
+                out, cache = linear_forward(x, w, b)
+                linear_param_backward(d_out, cache)
+            got = out, w.grad.copy(), b.grad.copy()
+            w.grad[...], b.grad[...] = grads
+            return got
+
+        if ONE_BLAS_THREAD:
+            want = (x @ w.value + b.value, grads[0] + x.T @ d_out,
+                    grads[1] + d_out.sum(axis=0, keepdims=True))
+        else:
+            want = run(pools[1])
+        for got, ref in zip(run(pools[workers]), want, strict=True):
+            assert np.array_equal(got, ref)
+
+    @settings(max_examples=30, deadline=None)
+    @given(size=st.sampled_from(CHUNKED_SIZES), workers=st.sampled_from([1, 2, 3]),
+           step=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_adam_and_zeroing_equal_the_single_call(self, pools, size, workers, step, seed):
+        gen = np.random.default_rng(seed)
+        value, g = gen.normal(size=size), gen.normal(size=size)
+        m1, m2 = gen.normal(size=size), gen.normal(size=size) ** 2
+        p = ParamTensor(value, g, m1, m2)
+        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        m1 = b1 * m1 + (1.0 - b1) * g
+        m2 = b2 * m2 + (1.0 - b2) * (g * g)
+        value = value - lr * (m1 / (1.0 - b1 ** step)) / (np.sqrt(m2 / (1.0 - b2 ** step)) + eps)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(N, "_pool", pools[workers])
+            adam_step([p], lr=lr, betas=(b1, b2), eps=eps, step=step)
+            assert p.version == 1
+            assert np.array_equal(p.grad, g)
+            zero_grads([p])
+        assert np.array_equal(p.value, value)
+        assert np.array_equal(p.moment1, m1) and np.array_equal(p.moment2, m2)
+        assert np.array_equal(p.grad, np.zeros(size))
+
+    def test_a_worker_error_is_raised_after_every_range_is_done(self, pools):
+        done = []
+
+        def work(lo, hi):
+            if lo == 0:
+                raise ZeroDivisionError("range 0")
+            time.sleep(0.1)
+            done.append((lo, hi))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(N, "_pool", pools[3])
+            with pytest.raises(ZeroDivisionError, match="range 0"):
+                N._spread(6, work)
+        assert sorted(done) == [(2, 4), (4, 6)]
+
+
+# The child imports the package, trains one desk-shape epoch and ranks the
+# catalogue, printing the thread count before and after and whether it made
+# a pool; then it zeroes a gradient of several Adam chunks, which makes the
+# pool, and forks: the child of the fork must make a pool of its own.
+POOL_LIFECYCLE = """
+import io, os, threading
+before = threading.active_count()
+import numpy as np
+from tripletrec import data as D, model as M, nn
+from tripletrec.train import TrainConfig, train
+store = D.generate_synthetic(D.SynthConfig(frames=6, frame_dim=30, seed=3))
+triplets = D.build_triplets(store, D.PairingStrategy.one_to_n(10), seed=3)[:640]
+config = TrainConfig(epochs=1, batch_size=64, seed=3, user_tower=M.TowerSpec(5),
+                     item_tower=M.TowerSpec(180, [64, 32, 16, 16]))
+ckpt = train(store, triplets, config, log_stream=io.StringIO())
+M.rank_items_for_user(ckpt.model, store.user_topics[0], store.item_ids, store.item_features, 5)
+print(before, threading.active_count(), nn._pool is None)
+p = nn.ParamTensor(np.zeros(3 * nn.ADAM_CHUNK))
+nn.zero_grads([p])
+parent_pool = nn._pool
+pid = os.fork()
+if pid == 0:
+    fresh = nn._pool is None
+    p.grad[...] = 1.0
+    nn.zero_grads([p])
+    ok = fresh and nn._pool is not parent_pool and not p.grad.any()
+    os._exit(0 if ok else 1)
+_, status = os.waitpid(pid, 0)
+print(parent_pool.size, os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_split_products_at_one_blas_thread():
+    if ONE_BLAS_THREAD:
+        pytest.skip("the BLAS runs one thread here, so TestSplit compares with the single call")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           f"{__file__}::TestSplit"], env=env, cwd=Path(__file__).parents[1],
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-4000:]
+
+
+@pytest.mark.parametrize("env, blas_threads", [
+    ({}, None),  # the BLAS takes every CPU
+    ({"OMP_NUM_THREADS": "1"}, 1),
+    ({"OMP_NUM_THREADS": "2"}, 2),
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+], ids=["unset", "omp-1", "omp-2", "openblas-before-omp", "goto-before-omp"])
+def test_pool_has_a_worker_per_cpu_left_to_each_blas_thread(monkeypatch, env, blas_threads):
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    cpus = N._cpu_count()
+    assert N._workers() == max(1, cpus // min(blas_threads or cpus, cpus))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pool_is_made_on_first_split_and_again_after_fork():
+    env = {**os.environ, "PYTHONPATH": str(Path(N.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", POOL_LIFECYCLE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    desk, fork = (line.split() for line in proc.stdout.splitlines())
+    assert desk[0] == desk[1] and desk[2] == "True"  # no thread, no pool
+    assert fork == [str(N._cpu_count()), "0"]
 
 
 class TestGradCheck:
