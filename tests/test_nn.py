@@ -293,6 +293,26 @@ class TestArena:
         finally:
             gc.enable()
 
+    def test_a_large_arena_takes_the_values_of_a_dropped_one_zeroed(self):
+        assert param_arena(self.SHAPES)[0].arena.value.flags.owndata  # small: np.zeros
+        shapes = [(N.SPARE_MIN // 2,), (N.SPARE_MIN - N.SPARE_MIN // 2,)]
+        gc.disable()
+        try:
+            parts = param_arena(shapes)
+            with writing(parts[1]) as value:
+                value[...] = 1.0
+            view, address = parts[1].value[-3:], parts[0].value.__array_interface__["data"][0]
+            del parts, value
+            # a view still holds the first values, so they are not handed out
+            other = param_arena(shapes)
+            assert other[0].value.__array_interface__["data"][0] != address
+            del view
+            again = param_arena(shapes)
+            assert again[0].value.__array_interface__["data"][0] == address
+            assert not again[0].arena.value.any() and not again[0].arena.value.flags.writeable
+        finally:
+            gc.enable()
+
     def test_zero_grads_clears_every_part(self):
         parts = param_arena(self.SHAPES)
         parts[0].arena.grad[...] = 3.0
