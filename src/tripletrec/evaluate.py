@@ -105,10 +105,16 @@ def item_item_precision_at_k(
     k: int,
 ) -> float:
     """Average over query items of (top-k neighbours sharing the query's
-    tag)/k, the query itself excluded from the candidates."""
+    tag)/k, the query itself excluded from the candidates. A catalogue of
+    fewer than 2 items leaves no candidate, so it raises DataError."""
     item_ids = list(item_ids)
     if not item_ids:
         raise DataError("no items to evaluate")
+    if store.n_items < 2:
+        raise DataError(
+            f"item-item precision needs at least 2 catalogue items, got {store.n_items}: "
+            f"no candidate is left once the query is excluded"
+        )
     rows = store.item_rows(item_ids)
     z_items = M.catalogue_latents(model, store.item_features)
     ranked = np.array([M.rank_latents_for_item(z_items[row], store.item_ids, z_items, k, (int(iid),))

@@ -221,51 +221,42 @@ def tower_forward(
     """Run a batch through the tower; returns (latent, caches) where caches
     carry everything the matching backward pass needs.
 
-    The batch is ``x``, one array of input rows, or the rows of a tuple of
-    such arrays stacked in order, one array per branch of a shared tower.
-    With ``rows``, a tuple of integer arrays, one per branch, the batch is
-    instead ``x[rows[0]]``, ``x[rows[1]]``, ... stacked: the first linear
-    layer then multiplies each distinct row of ``x`` they name once and
-    gathers its output back to the batch's rows, so ``x`` may be a whole
-    catalogue and the batch's input rows are never formed. Every later layer
-    runs once over the batch's rows.
+    The batch is ``x``, one array of input rows. With ``rows``, a tuple of
+    integer arrays, one per branch of a shared tower, the batch is instead
+    ``x[rows[0]]``, ``x[rows[1]]``, ... stacked: the first linear layer then
+    multiplies each distinct row of ``x`` they name once and gathers its
+    output back to the batch's rows, so ``x`` may be a whole catalogue and
+    the batch's input rows are never formed. Every layer is one
+    :func:`linear_forward` call.
 
     In training, branch b's dropout masks come from the generators a
     separate pass over that branch alone would draw, branch after branch, so
     each branch's output equals that pass's bit for bit.
     """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if x.shape[1] != tower.spec.input_dim:
+        raise ValueError(f"tower expects input dim {tower.spec.input_dim}, got {x.shape[1]}")
+    inverse, branches = None, 1
     if rows is not None:
         distinct, inverse = np.unique(np.concatenate(rows), return_inverse=True)
-        blocks, branches = (x[distinct],), len(rows)
-    else:
-        blocks, inverse = (x if isinstance(x, tuple) else (x,)), None
-        branches = len(blocks)
-    blocks = [np.atleast_2d(np.asarray(b, dtype=np.float64)) for b in blocks]
-    for b in blocks:
-        if b.shape[1] != tower.spec.input_dim:
-            raise ValueError(
-                f"tower expects input dim {tower.spec.input_dim}, got {b.shape[1]}"
-            )
+        branches = len(rows)
+        if not np.array_equal(distinct, np.arange(len(x))):  # else x[distinct] is x
+            x = x[distinct]
     n_hidden = len(tower.spec.hidden_dims)
     p = tower.spec.dropout_p
     # generator b * n_hidden + i masks branch b at hidden layer i
     gens = ([rng.next_generator() for _ in range(branches * n_hidden)]
             if training and p > 0.0 and rng is not None else None)
-    hidden_caches = []
+    h, hidden_caches = x, []
     for i in range(n_hidden):
-        if i == 0:
-            outs, lin_cache = zip(*(linear_forward(b, tower.weights[0], tower.biases[0])
-                                    for b in blocks))
-            h = outs[0] if len(outs) == 1 else np.concatenate(outs)
-            if inverse is not None:
-                h = h[inverse]
-        else:
-            h, lin_cache = linear_forward(h, tower.weights[i], tower.biases[i])
+        h, lin_cache = linear_forward(h, tower.weights[i], tower.biases[i])
+        if i == 0 and inverse is not None:
+            h = h[inverse]
         norm_cache = None
         if tower.spec.normalize:
             h, norm_cache = layer_norm_forward(h, tower.gains[i], tower.shifts[i])
         h, relu_cache = relu_forward(h)
-        h, drop_mask = dropout_forward(h, p, rng if gens is None else gens[i::n_hidden], training)
+        h, drop_mask = dropout_forward(h, p, None if gens is None else gens[i::n_hidden], training)
         hidden_caches.append((lin_cache, norm_cache, relu_cache, drop_mask))
     z, final_cache = linear_forward(h, tower.weights[n_hidden], tower.biases[n_hidden])
     return z, (hidden_caches, final_cache, inverse)
@@ -278,8 +269,7 @@ def tower_backward(tower: TowerParams, d_z: Array, caches) -> None:
     weight and bias gradients, ``d_out @ W.T`` is never formed and the
     function returns None. Where the forward pass gathered the first layer's
     output from distinct rows, every batch row's gradient is first added
-    onto its distinct row, repeats included; the first layer then adds one
-    weight-gradient product per input array."""
+    onto its distinct row, repeats included."""
     hidden_caches, final_cache, inverse = caches
     d = linear_backward(d_z, final_cache)
     for i in reversed(range(len(hidden_caches))):
@@ -290,16 +280,12 @@ def tower_backward(tower: TowerParams, d_z: Array, caches) -> None:
             d = layer_norm_backward(d, norm_cache)
         if i:
             d = linear_backward(d, lin_cache)
-    first = hidden_caches[0][0]  # one linear cache per input array
+    first = hidden_caches[0][0]
     if inverse is not None:
-        d_distinct = np.zeros((first[0][0].shape[0], d.shape[1]))
+        d_distinct = np.zeros((first[0].shape[0], d.shape[1]))
         np.add.at(d_distinct, inverse, d)
         d = d_distinct
-    start = 0
-    for cache in first:
-        end = start + cache[0].shape[0]
-        linear_param_backward(d[start:end], cache)
-        start = end
+    linear_param_backward(d, first)
 
 
 def embed_user(tower: TowerParams, u: Array, training: bool = False, rng: RngState | None = None) -> Array:
@@ -384,6 +370,38 @@ def _check_finite_losses(losses: Array, context: str) -> None:
         )
 
 
+def _pair_loss_and_grads(model, u, branches, signs, labels, training, rng, items, what):
+    """The body of both losses: the logit o = sum_b signs[b] * D(user,
+    branch b), taken left to right from the first term, matched by
+    cross-entropy against ``labels``; every gradient is populated.
+
+    Each branch is a feature array, or with ``items`` given, row indices into
+    it. Feature arrays are first stacked into one catalogue, each branch its
+    own run of rows. The item tower then runs once, forward and backward,
+    over every branch's rows stacked in order (see :func:`tower_forward`).
+    """
+    labels = np.asarray(labels, dtype=np.float64)
+    if items is None:
+        blocks = [np.atleast_2d(b) for b in branches]
+        ends = np.cumsum([len(b) for b in blocks])
+        items = np.concatenate(blocks)
+        branches = [np.arange(end - len(b), end) for b, end in zip(blocks, ends)]
+    z_u, cache_u = tower_forward(model.user_tower, u, training, rng)
+    z, cache_z = tower_forward(model.item_tower, items, training, rng, rows=tuple(branches))
+    n = z.shape[0] // len(signs)
+    ds, cds = zip(*(distance_forward(model.head, z_u, z[b * n : (b + 1) * n])
+                    for b in range(len(signs))))
+    terms = [s * d for s, d in zip(signs, ds)]
+    o = sum(terms[1:], terms[0])
+    losses = bce_loss_from_logit(o, labels)
+    _check_finite_losses(losses, what)
+    d_o = (sigmoid_stable(o) - labels) / o.shape[0]
+    d_zu, d_z = zip(*(distance_backward(model.head, s * d_o, cd) for s, cd in zip(signs, cds)))
+    tower_backward(model.user_tower, sum(d_zu[1:], d_zu[0]), cache_u)
+    tower_backward(model.item_tower, np.concatenate(d_z), cache_z)
+    return float(losses.mean())
+
+
 def triplet_loss_and_grads(
     model: TripletModelParams,
     u: Array,
@@ -394,36 +412,22 @@ def triplet_loss_and_grads(
     rng: RngState | None = None,
     items: Array | None = None,
 ) -> float:
-    """Mean cross-entropy of sigmoid(o) against the orientation labels,
-    computed from logits. Populates gradients of the user tower, the shared
-    item tower and the head. The head bias cancels in o = D_i - D_j, so its
-    gradient here is exactly 0 and triplet training leaves it at its initial
-    value.
+    """Mean cross-entropy of sigmoid(o), o = D(user, item_i) - D(user,
+    item_j), against the orientation labels, computed from logits. Populates
+    gradients of the user tower, the shared item tower and the head. The head
+    bias cancels in o, so its gradient here is exactly 0 and triplet training
+    leaves it at its initial value.
 
     ``item_i`` and ``item_j`` are feature arrays, or with ``items`` given,
-    row indices into it. The item tower runs once, forward and backward, over
-    both branches stacked, ``[item_i; item_j]``; with ``items``, its first
-    linear layer multiplies each distinct row of ``items`` once (see
-    :func:`tower_forward`). The loss and the dropout draws equal those of one
-    pass per branch, branch i's first; the gradients differ only in
-    summation order.
+    row indices into it. Feature arrays are stacked into one catalogue, each
+    branch its own run of rows, so the item tower's first layer runs one
+    product over both; with ``items``, it multiplies each distinct row of
+    ``items`` once (see :func:`tower_forward`). The loss and the dropout
+    draws equal those of one pass per branch, branch i's first; the
+    gradients differ only in summation order.
     """
-    labels = np.asarray(labels, dtype=np.float64)
-    z_u, cache_u = tower_forward(model.user_tower, u, training, rng)
-    x, rows = ((item_i, item_j), None) if items is None else (items, (item_i, item_j))
-    z, cache_z = tower_forward(model.item_tower, x, training, rng, rows=rows)
-    n = z.shape[0] // 2
-    d_i, cd_i = distance_forward(model.head, z_u, z[:n])
-    d_j, cd_j = distance_forward(model.head, z_u, z[n:])
-    o = d_i - d_j
-    losses = bce_loss_from_logit(o, labels)
-    _check_finite_losses(losses, "triplet")
-    d_o = (sigmoid_stable(o) - labels) / o.shape[0]
-    d_zu_i, d_zi = distance_backward(model.head, d_o, cd_i)
-    d_zu_j, d_zj = distance_backward(model.head, -d_o, cd_j)
-    tower_backward(model.user_tower, d_zu_i + d_zu_j, cache_u)
-    tower_backward(model.item_tower, np.concatenate((d_zi, d_zj)), cache_z)
-    return float(losses.mean())
+    return _pair_loss_and_grads(model, u, (item_i, item_j), (1, -1), labels, training, rng,
+                                items, "triplet")
 
 
 def twonet_loss_and_grads(
@@ -436,23 +440,11 @@ def twonet_loss_and_grads(
     items: Array | None = None,
 ) -> float:
     """Baseline loss: sigmoid(-D(user, item)) as match probability (smaller
-    distance, higher probability) against tag-match labels. ``item`` is a
-    feature array, or with ``items`` given, row indices into it, as in
-    :func:`triplet_loss_and_grads`."""
-    match_labels = np.asarray(match_labels, dtype=np.float64)
-    z_u, cache_u = tower_forward(model.user_tower, u, training, rng)
-    x, rows = (item, None) if items is None else (items, (item,))
-    z_i, cache_i = tower_forward(model.item_tower, x, training, rng, rows=rows)
-    d, cd = distance_forward(model.head, z_u, z_i)
-    o = -d
-    losses = bce_loss_from_logit(o, match_labels)
-    _check_finite_losses(losses, "twonet")
-    n = o.shape[0]
-    d_d = -(sigmoid_stable(o) - match_labels) / n
-    d_zu, d_zi = distance_backward(model.head, d_d, cd)
-    tower_backward(model.user_tower, d_zu, cache_u)
-    tower_backward(model.item_tower, d_zi, cache_i)
-    return float(losses.mean())
+    distance, higher probability) against tag-match labels; the pair loss of
+    :func:`triplet_loss_and_grads` with the one branch ``item``, a feature
+    array or, with ``items`` given, row indices into it."""
+    return _pair_loss_and_grads(model, u, (item,), (-1,), match_labels, training, rng,
+                                items, "twonet")
 
 
 # ---------------------------------------------------------------------------

@@ -449,21 +449,21 @@ def dropout_forward(x: Array, p: float, rng, training: bool):
     """Inverted dropout: zero entries with probability p and scale survivors
     by 1/(1-p) during training; at inference the op is the identity.
 
-    ``rng`` is an :class:`RngState`, whose next generator draws the mask, or
-    a sequence of generators that split x's rows into as many equal blocks,
-    the b-th drawing block b's mask as it would draw the mask of that block
-    alone, so stacked blocks get the masks separate calls would."""
+    ``rng`` is a sequence of numpy generators, or None where nothing is
+    drawn (at inference or p == 0). The generators split x's rows into as
+    many equal blocks, the b-th drawing block b's mask as it would draw the
+    mask of that block alone, so stacked blocks get the masks separate calls
+    would. One generator draws the whole mask."""
     check_dropout_p(p)
     if not training or p == 0.0:
         return x, None
     if rng is None:
-        raise ValueError("dropout in training mode needs an RngState")
-    gens = [rng.next_generator()] if isinstance(rng, RngState) else rng
+        raise ValueError("dropout in training mode needs generators")
     draws = np.empty(x.shape)
-    rows, rest = divmod(x.shape[0], len(gens))
+    rows, rest = divmod(x.shape[0], len(rng))
     if rest:
-        raise ValueError(f"{x.shape[0]} rows do not split into {len(gens)} equal blocks")
-    for b, gen in enumerate(gens):
+        raise ValueError(f"{x.shape[0]} rows do not split into {len(rng)} equal blocks")
+    for b, gen in enumerate(rng):
         gen.random(out=draws[b * rows : (b + 1) * rows])
     mask = (draws >= p) / (1.0 - p)
     return x * mask, mask

@@ -96,11 +96,13 @@ def train(
 ) -> Checkpoint:
     """Train per the config and return the final checkpoint.
 
-    Each step hands the loss the batch's item rows and ``store.item_features``
-    itself, not a copy of each branch's features: the item tower runs once
-    over both branches' rows stacked (the one branch for twonet), and its
-    first linear layer copies and multiplies only the batch's distinct items
-    (see :func:`model.tower_forward`).
+    Each step makes one loss call, ``model.triplet_loss_and_grads`` or
+    ``model.twonet_loss_and_grads`` (looked up when training starts), with
+    the batch's user topics, its item rows per branch (two for triplet, one
+    for twonet) and ``store.item_features`` itself, not a copy of each
+    branch's features: the item tower runs once over every branch's rows
+    stacked, and its first linear layer copies and multiplies only the
+    batch's distinct items (see :func:`model.tower_forward`).
 
     ``eval_triplets`` plus ``config.eval_every > 0`` adds a held-out pairwise
     accuracy to the per-epoch JSON line every eval_every epochs.
@@ -113,13 +115,14 @@ def train(
     model = build_model(config, rng)
     params = model.parameters()
 
-    u_rows, i_rows, j_rows, tri_labels = gather_triplet_rows(store, triplets)
+    # (user rows, item rows per branch, labels, loss) of each training example
+    user_rows, *branch_rows, labels = gather_triplet_rows(store, triplets)
+    loss_and_grads = M.triplet_loss_and_grads
     if config.model_kind == "twonet":
-        pair_uids, pair_iids, pair_labels = pairs_from_triplets(triplets, store)
-        pu_rows, pi_rows = store.user_rows(pair_uids), store.item_rows(pair_iids)
-        n_examples = len(pair_labels)
-    else:
-        n_examples = len(triplets)
+        pair_uids, pair_iids, labels = pairs_from_triplets(triplets, store)
+        user_rows, branch_rows = store.user_rows(pair_uids), [store.item_rows(pair_iids)]
+        loss_and_grads = M.twonet_loss_and_grads
+    n_examples = len(labels)
 
     loss_history: list[float] = []
     step = 0
@@ -129,27 +132,15 @@ def train(
         for start in range(0, n_examples, config.batch_size):
             idx = perm[start : start + config.batch_size]
             try:
-                if config.model_kind == "triplet":
-                    loss = M.triplet_loss_and_grads(
-                        model,
-                        store.user_topics[u_rows[idx]],
-                        i_rows[idx],
-                        j_rows[idx],
-                        tri_labels[idx],
-                        training=True,
-                        rng=rng,
-                        items=store.item_features,
-                    )
-                else:
-                    loss = M.twonet_loss_and_grads(
-                        model,
-                        store.user_topics[pu_rows[idx]],
-                        pi_rows[idx],
-                        pair_labels[idx],
-                        training=True,
-                        rng=rng,
-                        items=store.item_features,
-                    )
+                loss = loss_and_grads(
+                    model,
+                    store.user_topics[user_rows[idx]],
+                    *(rows[idx] for rows in branch_rows),
+                    labels[idx],
+                    training=True,
+                    rng=rng,
+                    items=store.item_features,
+                )
             except NonFiniteLossError as e:
                 raise NonFiniteLossError(
                     f"epoch {epoch}, batch starting at {start}: {e}; "

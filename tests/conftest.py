@@ -1,10 +1,17 @@
 """Shared fixtures: checkpoint files taken apart and put back together, and
-the header and manifest defects every checkpoint loader must reject."""
+the header and manifest defects every checkpoint loader must reject; and the
+hypothesis profile every property runs under."""
 
 import json
 import math
 
 import pytest
+from hypothesis import Phase, settings
+
+# No explain phase: where every example of a property fails, its reruns took
+# the process past 7 GB.
+settings.register_profile("tripletrec", phases=[p for p in Phase if p is not Phase.explain])
+settings.load_profile("tripletrec")
 
 
 def split_checkpoint(blob: bytes):

@@ -270,6 +270,12 @@ class TestEval:
             assert code == 2
             assert str(ckpt_file) in capsys.readouterr().err
 
+    def test_one_item_catalogue_exits_2(self, corpus_dir, ckpt_file, capsys):
+        items = corpus_dir / "items.csv"
+        items.write_bytes(b"".join(items.read_bytes().splitlines(keepends=True)[:2]))
+        code = run(["eval", "--ckpt", str(ckpt_file), "--corpus", str(corpus_dir), "--k", "1"])
+        assert code == 2
+        assert "at least 2 catalogue items, got 1" in capsys.readouterr().err
 
     def test_k_below_one_fails_before_reading_any_file(self, tmp_path, capsys):
         code = run(["eval", "--ckpt", str(tmp_path / "missing.ckpt"),

@@ -290,6 +290,14 @@ class TestItemItemPrecision:
                 rtol=1e-12,
             )
 
+    def test_one_item_catalogue_is_a_data_error(self):
+        full = small_corpus()
+        store = FeatureStore(full.user_ids, full.user_topics, full.user_tags,
+                             full.item_ids[:1], full.item_features[:1], full.item_tags[:1])
+        model = zero_head_model(store)
+        with pytest.raises(DataError, match="at least 2 catalogue items, got 1"):
+            item_item_precision_at_k(model, store.item_ids.tolist(), store, 1)
+
 
 class TestEvalReport:
     def test_json_and_table_render(self):

@@ -612,19 +612,11 @@ def reference_tower_backward(tower, d_z, caches):
             d = d * (relu_cache > 0.0)
             if norm_cache is not None:
                 d = N.layer_norm_backward(d, norm_cache)
-        if i < len(hidden_caches):
-            x, w, b = lin_cache
-            parts = [(x, d)]
-        else:  # the first layer: one cache per input array
-            xs = [c[0] for c in lin_cache]
-            w, b = lin_cache[0][1:]
-            if inverse is None:  # the arrays' rows stacked, one product each
-                parts = list(zip(xs, np.split(d, np.cumsum([len(x) for x in xs])[:-1])))
-            else:  # the batch's rows gathered from the distinct rows
-                parts = [(xs[0][inverse], d)]
-        for x, d_part in parts:
-            w.grad += x.T @ d_part
-            b.grad += d_part.sum(axis=0, keepdims=True)
+        x, w, b = lin_cache
+        if i == len(hidden_caches) and inverse is not None:
+            x = x[inverse]  # the batch's rows gathered from the distinct rows
+        w.grad += x.T @ d
+        b.grad += d.sum(axis=0, keepdims=True)
         d = d @ w.value.T
     return d
 
@@ -693,9 +685,10 @@ def per_branch_twonet_loss(m, u, x, labels, rng):
 
 
 class TestStackedItemPass:
-    """Both losses run the item tower once over the stacked branches, its
-    first layer once per distinct catalogue row; the rows below repeat within
-    each branch and across the two."""
+    """Both losses run the item tower once over the stacked branches: with
+    row indices, its first layer once per distinct catalogue row; with
+    feature arrays, once over the arrays stacked. The rows below repeat
+    within each branch and across the two."""
 
     ROWS_I = np.array([0, 3, 3, 5, 1, 0, 2])
     ROWS_J = np.array([3, 1, 4, 0, 0, 2, 2])
@@ -752,10 +745,12 @@ class TestStackedItemPass:
         loss, counter, grads = self.run(7, stacked)
         want_loss, want_counter, want_grads = self.run(7, per_branch)
         branches = (self.ROWS_I, self.ROWS_J) if kind == "triplet" else (self.ROWS_I,)
-        # the first layer multiplies the distinct catalogue rows, or each feature array
-        want_rows = ([len(np.unique(np.concatenate(branches)))] if path == "rows"
-                     else [len(b) for b in branches])
-        assert first_layer_rows[:len(want_rows)] == want_rows
+        # the first layer multiplies the distinct catalogue rows once, or the
+        # feature arrays stacked into one catalogue, each branch its own rows
+        want_rows = (len(np.unique(np.concatenate(branches))) if path == "rows"
+                     else sum(len(b) for b in branches))
+        # one first-layer product in the stacked pass, then one per branch in the reference
+        assert first_layer_rows == [want_rows, *(len(b) for b in branches)]
         assert loss == want_loss
         assert counter == want_counter
         for got, want in zip(grads, want_grads):

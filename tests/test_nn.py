@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tripletrec import nn as N
@@ -137,35 +137,35 @@ class TestBce:
 class TestDropout:
     def test_p_zero_is_identity(self):
         x = np.random.default_rng(0).normal(size=(5, 5))
-        out, mask = dropout_forward(x, 0.0, RngState(0), training=True)
+        out, mask = dropout_forward(x, 0.0, [RngState(0).next_generator()], training=True)
         assert mask is None
         npt.assert_array_equal(out, x)
 
     def test_inference_is_identity(self):
         x = np.random.default_rng(0).normal(size=(5, 5))
-        out, mask = dropout_forward(x, 0.2, RngState(0), training=False)
+        out, mask = dropout_forward(x, 0.2, [RngState(0).next_generator()], training=False)
         assert mask is None
         npt.assert_array_equal(out, x)
 
     def test_inverted_scaling_preserves_mean(self):
         x = np.ones((100, 1000))
-        out, _ = dropout_forward(x, 0.2, RngState(7), training=True)
+        out, _ = dropout_forward(x, 0.2, [RngState(7).next_generator()], training=True)
         assert abs(out.mean() - 1.0) < 0.01
 
     def test_p_one_rejected(self):
         with pytest.raises(ValueError):
-            dropout_forward(np.ones((2, 2)), 1.0, RngState(0), training=True)
+            dropout_forward(np.ones((2, 2)), 1.0, [RngState(0).next_generator()], training=True)
 
     def test_same_seed_gives_bitwise_identical_masks(self):
         x = np.ones((50, 50))
-        out1, mask1 = dropout_forward(x, 0.3, RngState(42), training=True)
-        out2, mask2 = dropout_forward(x, 0.3, RngState(42), training=True)
+        out1, mask1 = dropout_forward(x, 0.3, [RngState(42).next_generator()], training=True)
+        out2, mask2 = dropout_forward(x, 0.3, [RngState(42).next_generator()], training=True)
         assert np.array_equal(mask1, mask2)
         assert np.array_equal(out1, out2)
 
     def test_backward_reuses_mask(self):
         x = np.ones((4, 4))
-        _, mask = dropout_forward(x, 0.5, RngState(3), training=True)
+        _, mask = dropout_forward(x, 0.5, [RngState(3).next_generator()], training=True)
         d = dropout_backward(np.ones_like(x), mask)
         npt.assert_array_equal(d, mask)
 
@@ -371,9 +371,7 @@ class TestSplit:
     """The products and passes that run as blocks on the worker pool equal
     their single-call forms bit for bit, whatever the pool's size."""
 
-    # no explain phase: where every example fails, its reruns held over 7 GB
-    @settings(max_examples=40, deadline=None,
-              phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+    @settings(max_examples=40, deadline=None)
     @given(batch=st.sampled_from(SPLIT_BATCHES), shape=st.sampled_from(SPLIT_WEIGHTS),
            workers=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**32 - 1))
     def test_linear_products_equal_the_single_call(self, pools, batch, shape, workers, seed):
@@ -605,7 +603,8 @@ class TestOpGradients:
         upstream = gen.normal(size=(4, 6))
 
         def f():
-            out, mask = dropout_forward(x.value, 0.3, RngState(99), training=True)
+            gens = [RngState(99).next_generator()]
+            out, mask = dropout_forward(x.value, 0.3, gens, training=True)
             x.grad += dropout_backward(upstream, mask)
             return float((upstream * out).sum())
 
@@ -685,7 +684,7 @@ class TestFiniteness:
         out, _ = linear_forward(x, w, b)
         out, _ = layer_norm_forward(out, pt(np.ones((1, 4))), pt(np.zeros((1, 4))))
         out, _ = relu_forward(out)
-        out, _ = dropout_forward(out, 0.2, RngState(0), training=True)
+        out, _ = dropout_forward(out, 0.2, [RngState(0).next_generator()], training=True)
         assert np.all(np.isfinite(out))
         assert np.all(np.isfinite(sigmoid_stable(x * 10)))
         assert np.all(np.isfinite(bce_loss_from_logit(x * 10, 1.0)))

@@ -130,29 +130,31 @@ class TestTrainLoop:
             with pytest.raises(DataError, match="no training triplets"):
                 train(store, empty, tiny_config(), log_stream=io.StringIO())
 
-    def test_single_epoch_full_batch_is_one_optimizer_step(self, corpus):
+    @pytest.mark.parametrize("model_kind", ["triplet", "twonet"])
+    def test_single_epoch_full_batch_is_one_optimizer_step(self, corpus, model_kind):
         store, triplets = corpus
-        config = tiny_config(epochs=1, batch_size=10 * len(triplets))
+        config = tiny_config(epochs=1, batch_size=10 * len(triplets), model_kind=model_kind)
         ckpt = train(store, triplets, config, log_stream=io.StringIO())
 
         # replicate by hand: same init, same shuffle draw, one loss + one step
         rng = RngState(config.seed)
         model = build_model(config, rng)
-        perm = rng.next_generator().permutation(len(triplets))
-        u = np.array([store.user_row(t.user_id) for t in triplets])
-        i = np.array([store.item_row(t.item_i_id) for t in triplets])
-        j = np.array([store.item_row(t.item_j_id) for t in triplets])
-        y = np.array([t.label for t in triplets], dtype=float)
-        M.triplet_loss_and_grads(
-            model,
-            store.user_topics[u[perm]],
-            i[perm],
-            j[perm],
-            y[perm],
-            training=True,
-            rng=rng,
-            items=store.item_features,
-        )
+        if model_kind == "triplet":
+            examples = [(store.user_row(t.user_id), store.item_row(t.item_i_id),
+                         store.item_row(t.item_j_id), float(t.label)) for t in triplets]
+        else:  # each triplet gives its matching item with label 1, then the other with 0
+            examples = []
+            for t in triplets:
+                pos, neg = t.item_i_id, t.item_j_id
+                if t.label == 1:  # item_j is the matching item
+                    pos, neg = neg, pos
+                examples += [(store.user_row(t.user_id), store.item_row(pos), 1.0),
+                             (store.user_row(t.user_id), store.item_row(neg), 0.0)]
+        perm = rng.next_generator().permutation(len(examples))
+        *rows, y = (np.array(column)[perm] for column in zip(*examples))
+        loss = M.triplet_loss_and_grads if model_kind == "triplet" else M.twonet_loss_and_grads
+        loss(model, store.user_topics[rows[0]], *rows[1:], y, training=True, rng=rng,
+             items=store.item_features)
         adam_step(model.parameters(), lr=config.learning_rate, step=1)
         zero_grads(model.parameters())
         for (_, got), (_, want) in zip(
