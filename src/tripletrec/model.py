@@ -496,17 +496,40 @@ def rank_latents_for_item(
 ) -> Array:
     """Top-k neighbours of one item latent among already embedded items by
     squared Euclidean distance (the head scores user-item pairs only), ties
-    by ascending id; ``exclude_ids`` drops candidates, typically the query."""
+    by ascending id; ``exclude_ids`` drops candidates, typically the query.
+
+    With exclusions, the first ``k + len(set(exclude_ids))`` candidates are
+    ranked and the excluded ids dropped from them, so no mask over the whole
+    catalogue is built; only when an id repeated in ``item_ids`` leaves
+    fewer than k are all candidates ranked. Fewer than k left warns, giving
+    the count left."""
     item_ids = np.asarray(item_ids)
     d = ((z_items - z_q) ** 2).sum(axis=1)
-    if len(exclude_ids):
-        keep = ~np.isin(item_ids, np.asarray(list(exclude_ids)))
-        item_ids, d = item_ids[keep], d[keep]
-    return _top_k(item_ids, d, k, "item neighbours")
+    if not len(exclude_ids):
+        return _top_k(item_ids, d, k, "item neighbours")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    drop, n = set(exclude_ids), item_ids.shape[0]
+    m = min(n, k + len(drop))
+    top = _top_k(item_ids, d, m, "item neighbours") if m else item_ids
+    keep = [i not in drop for i in top.tolist()]
+    if sum(keep) < k and m < n:  # an excluded id repeated in item_ids took several places
+        top = _top_k(item_ids, d, n, "item neighbours")
+        keep = [i not in drop for i in top.tolist()]
+    top = top[np.array(keep, dtype=bool)][:k]
+    if top.shape[0] < k:
+        warnings.warn(
+            f"requested top-{k} item neighbours but only {top.shape[0]} candidates exist; "
+            f"returning all",
+            stacklevel=2,
+        )
+    return top
 
 
 def catalogue_latents(model: TripletModelParams, item_features: Array) -> Array:
-    """``embed_item(model.item_tower, item_features)``, cached per model.
+    """``embed_item(model.item_tower, item_features)``, cached per model: the
+    latents of every catalogue item, a catalogue-row query's included (see
+    :func:`rank_items_for_item`).
 
     The cache holds one entry, keyed by the model's arena, the arena's
     ``version`` (which every parameter write moves, see :func:`nn.writing`)
@@ -549,14 +572,41 @@ def rank_items_for_user(
     return rank_latents_for_user(model, z_u, item_ids, z_items, k)
 
 
+def _catalogue_row(query: Array, item_features) -> int | None:
+    """Index of the first row of a 2-D ndarray ``item_features`` equal to
+    ``query``, one row of its width, else None: a scan of the first column
+    for the query's first value, each candidate confirmed whole. A NaN
+    anywhere in the query matches no row."""
+    if not isinstance(item_features, np.ndarray) or item_features.ndim != 2:
+        return None
+    q = query[0] if query.ndim == 2 and query.shape[0] == 1 else query
+    if q.shape != item_features.shape[1:] or not q.shape[0]:
+        return None
+    for row in np.flatnonzero(item_features[:, 0] == q[0]).tolist():
+        if np.array_equal(item_features[row], q):
+            return row
+    return None
+
+
 def rank_items_for_item(
     model: TripletModelParams, query_features: Array, item_ids: Array,
     item_features: Array, k: int, exclude_ids=(),
 ) -> Array:
-    """Embed the query, take the items' latents from
-    :func:`catalogue_latents`, then rank as :func:`rank_latents_for_item`
-    does. The catalogue-cache limit of :func:`rank_items_for_user` holds
-    here too."""
-    z_q = embed_item(model.item_tower, query_features)
-    z_items = catalogue_latents(model, item_features)
+    """Take the items' latents from :func:`catalogue_latents` and the
+    query's as below, then rank as :func:`rank_latents_for_item` does.
+
+    A query equal to a row of ``item_features`` (the first such row, found
+    by :func:`_catalogue_row`) takes that row's latent from the same call,
+    so it embeds nothing of its own and ranks as it does in
+    ``evaluate.item_item_precision_at_k``. Any other query, such as a new
+    item's features, is embedded alone, before the catalogue is read. The
+    catalogue-cache limit of :func:`rank_items_for_user` holds here too."""
+    query = np.asarray(query_features, dtype=np.float64)
+    row = _catalogue_row(query, item_features)
+    if row is None:
+        z_q = embed_item(model.item_tower, query)
+        z_items = catalogue_latents(model, item_features)
+    else:
+        z_items = catalogue_latents(model, item_features)
+        z_q = z_items[row]
     return rank_latents_for_item(z_q, item_ids, z_items, k, exclude_ids)

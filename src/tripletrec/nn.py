@@ -417,9 +417,10 @@ def layer_norm_forward(x: Array, gain: ParamTensor, shift: ParamTensor):
     The variance is floored at NORM_VAR_FLOOR so constant rows map to the
     shift instead of blowing up. Per-feature gain/shift have shape (1, d).
     """
-    mean = x.mean(axis=1, keepdims=True)
+    width = x.shape[1]
+    mean = np.add.reduce(x, axis=1, keepdims=True) / width
     centered = x - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = np.add.reduce(centered * centered, axis=1, keepdims=True) / width
     above = var > NORM_VAR_FLOOR
     denom = np.sqrt(np.maximum(var, NORM_VAR_FLOOR))
     xhat = centered / denom

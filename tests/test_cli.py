@@ -9,6 +9,9 @@ import numpy as np
 import pytest
 
 from tripletrec import cli
+from tripletrec import data as D
+from tripletrec import evaluate as E
+from tripletrec import model as M
 from tripletrec.cli import build_parser, run
 from tripletrec.train import TrainConfig, load_checkpoint
 
@@ -305,6 +308,30 @@ class TestRetrieve:
         ids = [int(r.split("\t")[1]) for r in rows]
         assert 2 not in ids
         assert len(ids) == 5
+
+    def test_for_item_prints_the_neighbours_item_item_precision_scores(
+            self, corpus_dir, ckpt_file, capsys, monkeypatch):
+        store = D.load_corpus_dir(corpus_dir)
+        scored = {}
+        rank = M.rank_latents_for_item
+
+        def recording(z_q, item_ids, z_items, k, exclude_ids):
+            ranked = rank(z_q, item_ids, z_items, k, exclude_ids)
+            (query,) = exclude_ids
+            scored[query] = ranked.tolist()
+            return ranked
+
+        with monkeypatch.context() as patch:
+            patch.setattr(M, "rank_latents_for_item", recording)
+            E.item_item_precision_at_k(load_checkpoint(ckpt_file).model,
+                                       store.item_ids.tolist(), store, 5)
+        assert sorted(scored) == store.item_ids.tolist()
+        capsys.readouterr()
+        for item in scored:
+            assert run(["retrieve", "--ckpt", str(ckpt_file), "--corpus", str(corpus_dir),
+                        "--item", str(item), "--k", "5"]) == 0
+            rows = capsys.readouterr().out.strip().splitlines()[1:]
+            assert [int(r.split("\t")[1]) for r in rows] == scored[item]
 
     def test_unknown_user_is_data_error(self, corpus_dir, ckpt_file):
         code = run([

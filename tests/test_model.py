@@ -436,10 +436,10 @@ class TestCatalogueCache:
             M.rank_items_for_user(model, u, item_ids, feats, self.K),
             M.rank_latents_for_user(model, z_u, item_ids, z_items, self.K),
         )
-        z_q = M.embed_item(model.item_tower, feats[4])
+        # a catalogue row's query latent is that row of the catalogue's embed
         assert np.array_equal(
             M.rank_items_for_item(model, feats[4], item_ids, feats, self.K, (item_ids[4],)),
-            M.rank_latents_for_item(z_q, item_ids, z_items, self.K, (item_ids[4],)),
+            M.rank_latents_for_item(z_items[4], item_ids, z_items, self.K, (item_ids[4],)),
         )
 
     @settings(max_examples=60, deadline=None)
@@ -498,12 +498,14 @@ class TestCatalogueCache:
         for _ in range(3):
             M.rank_items_for_user(m, gen.normal(size=3), item_ids, feats, 3)
             M.rank_items_for_item(m, feats[2], item_ids, feats, 3)
-        assert rows == [9, 1, 1, 1]
+        assert rows == [9]  # a catalogue row's query latent comes from the cache
         for p in m.parameters():
             p.grad[...] = 1.0
         adam_step(m.parameters(), step=1)
         M.rank_items_for_item(m, feats[2], item_ids, feats, 3)
-        assert rows[4:] == [1, 9]
+        assert rows[1:] == [9]
+        M.rank_items_for_item(m, feats[2] + 1.0, item_ids, feats, 3)  # off the catalogue
+        assert rows[2:] == [1]
 
     def test_writing_the_catalogue_after_a_ranking_raises(self):
         m = tiny_model(seed=62)
@@ -534,6 +536,147 @@ class TestCatalogueCache:
             assert all(ref() is None for ref in refs)
         finally:
             gc.enable()
+
+
+def isin_rank_latents_for_item(z_q, item_ids, z_items, k, exclude_ids):
+    """Oracle: the item ranker as it was with a catalogue-wide np.isin mask."""
+    item_ids = np.asarray(item_ids)
+    d = ((z_items - z_q) ** 2).sum(axis=1)
+    if len(exclude_ids):
+        keep = ~np.isin(item_ids, np.asarray(list(exclude_ids)))
+        item_ids, d = item_ids[keep], d[keep]
+    return M._top_k(item_ids, d, k, "item neighbours")
+
+
+def ranking_outcome(rank, *args):
+    """What one ranking call does: its ids or its error, and its warnings
+    with the line they are attributed to (inf - inf in the distances is
+    not reported: both rankers run the same arithmetic)."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="ignore"):
+        warnings.simplefilter("always")
+        try:
+            got = rank(*args)
+            result = ("returned", got.dtype, got.tolist())
+        except ValueError as e:
+            result = ("raised", str(e))
+    return result, [(w.category, str(w.message), w.filename, w.lineno) for w in caught]
+
+
+@st.composite
+def item_query_cases(draw):
+    """(z_q, item ids, one-wide latents, k, exclude ids): latents tie often
+    and take +-inf and NaN, ids repeat, the catalogue may be empty, k runs
+    from 0 past the candidate count, and excluded ids repeat or are absent."""
+    n = draw(st.integers(0, 30))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n))
+    values = st.sampled_from([0.0, -0.0, 1.0, 2.5, np.inf, -np.inf, np.nan]) | st.floats(-1e3, 1e3)
+    z = draw(st.lists(values, min_size=n, max_size=n))
+    z_q = draw(values)
+    k = draw(st.integers(0, n + 3))
+    present = st.sampled_from(ids) if ids else st.nothing()
+    exclude = draw(st.lists(present | st.integers(0, 45), max_size=4))
+    return (np.array([z_q]), np.array(ids, dtype=np.int64),
+            np.array(z, dtype=np.float64).reshape(n, 1), k, tuple(exclude))
+
+
+class TestItemQuery:
+    """An item query equal to a catalogue row ranks with that row's cached
+    latent; any other query is embedded alone. The exclusion ranks a few
+    candidates and drops the excluded ids, as a catalogue-wide mask would."""
+
+    N_ITEMS = 12
+    K = N_ITEMS - 1  # every candidate, so any reorder shows
+
+    def catalogue(self, seed):
+        m = tiny_model(seed=seed)
+        feats = np.random.default_rng(seed).normal(size=(self.N_ITEMS, 5))
+        return m, np.arange(100, 100 + self.N_ITEMS), feats
+
+    @staticmethod
+    def embedded_rows(monkeypatch, m):
+        rows = []
+        tower_forward = M.tower_forward
+
+        def counting(tower, x, *args, **kwargs):
+            if tower is m.item_tower:
+                rows.append(np.atleast_2d(x).shape[0])
+            return tower_forward(tower, x, *args, **kwargs)
+
+        monkeypatch.setattr(M, "tower_forward", counting)
+        return rows
+
+    def test_every_row_as_view_copy_or_one_row_array_ranks_with_its_cached_latent(
+            self, monkeypatch):
+        m, item_ids, feats = self.catalogue(81)
+        rows = self.embedded_rows(monkeypatch, m)
+        z_items = M.catalogue_latents(m, feats)
+        for row in range(self.N_ITEMS):
+            want = M.rank_latents_for_item(z_items[row], item_ids, z_items, self.K,
+                                           (item_ids[row],))
+            for query in (feats[row], feats[row].copy(), feats[row : row + 1]):
+                got = M.rank_items_for_item(m, query, item_ids, feats, self.K,
+                                            exclude_ids=(item_ids[row],))
+                assert np.array_equal(got, want)
+        assert rows == [self.N_ITEMS]  # the catalogue, once; no query embed
+
+    def test_duplicate_rows_take_the_first_match(self, monkeypatch):
+        m, item_ids, feats = self.catalogue(82)
+        feats[[5, 8]] = feats[2]
+        # latents that differ between the duplicates, so the row used shows
+        z_items = M.embed_item(m.item_tower, feats)
+        z_items[[5, 8]] += [[1.0, -2.0], [3.0, 4.0]]
+        monkeypatch.setattr(M, "catalogue_latents", lambda model, x: z_items)
+        queries = []
+        rank = M.rank_latents_for_item
+
+        def recording(z_q, *args):
+            queries.append(z_q)
+            return rank(z_q, *args)
+
+        monkeypatch.setattr(M, "rank_latents_for_item", recording)
+        for row in (2, 5, 8):
+            got = M.rank_items_for_item(m, feats[row], item_ids, feats, self.K)
+            assert np.array_equal(got, rank(z_items[2], item_ids, z_items, self.K, ()))
+        assert all(np.array_equal(z_q, z_items[2]) for z_q in queries)
+
+    @pytest.mark.parametrize("query", ["nan-first", "nan-inside", "shifted", "first-value-only"])
+    def test_a_query_off_the_catalogue_is_embedded_alone(self, query, monkeypatch):
+        m, item_ids, feats = self.catalogue(83)
+        if query == "nan-first":
+            feats[6, 0] = np.nan
+        elif query == "nan-inside":
+            feats[6, 2] = np.nan
+        q = {"shifted": feats[6] + 0.5,
+             "first-value-only": np.r_[feats[6, :1], feats[6, 1:] + 0.5]}.get(query, feats[6])
+        rows = self.embedded_rows(monkeypatch, m)
+        z_items = M.catalogue_latents(m, feats)
+        want = M.rank_latents_for_item(M.embed_item(m.item_tower, q), item_ids, z_items,
+                                       self.K, (item_ids[6],))
+        del rows[:]
+        got = M.rank_items_for_item(m, q, item_ids, feats, self.K, exclude_ids=(item_ids[6],))
+        assert np.array_equal(got, want)
+        assert rows == [1]
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 6), (6,)])
+    def test_a_wrong_width_query_raises_the_tower_error_first(self, shape):
+        m, item_ids, feats = self.catalogue(84)
+        query = np.zeros(shape)
+        with pytest.raises(ValueError, match=f"tower expects input dim 5, got {shape[-1]}"):
+            M.rank_items_for_item(m, query, item_ids, feats, 3)
+        assert feats.flags.writeable  # raised before the catalogue was read
+
+    @settings(max_examples=500, deadline=None)
+    @given(item_query_cases())
+    # id 4 fills both of the first k + 1 places: every candidate is ranked
+    @example((np.array([0.0]), np.array([4, 4, 7, 8]), np.array([[0.0], [0.0], [1.0], [2.0]]), 1,
+              (4,)))
+    @example((np.array([0.0]), np.zeros(0, dtype=np.int64), np.zeros((0, 1)), 1, (3,)))
+    @example((np.array([0.0]), np.array([1, 2]), np.array([[0.0], [1.0]]), 0, (1,)))
+    def test_exclusion_equals_a_catalogue_wide_mask(self, case):
+        for partition_min in (1, M.TOP_K_PARTITION_MIN):
+            with mock.patch.object(M, "TOP_K_PARTITION_MIN", partition_min):
+                assert (ranking_outcome(M.rank_latents_for_item, *case)
+                        == ranking_outcome(isin_rank_latents_for_item, *case))
 
 
 class TestWeightSharing:
