@@ -12,13 +12,17 @@ Three metrics, all computed in inference mode over frozen parameters:
 Each metric embeds its users once and takes the catalogue's latents from
 the model's cache (``model.catalogue_latents``), so a full evaluation embeds
 the catalogue at most once; every triplet or query is scored against those
-latents.
+latents. Item -> item queries are ranked in blocks of rows
+(``model.rank_latent_rows_for_items``), with the same bits as one
+``model.rank_latents_for_item`` call per query; a row with a tie at the
+cut-off is ranked by that function itself.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +45,8 @@ class EvalReport:
     precision_at_k: dict[int, float] = field(default_factory=dict)
     item_item_precision_at_k: dict[int, float] = field(default_factory=dict)
     n_test: dict[str, int] = field(default_factory=dict)
+    # wall seconds of each metric in evaluate_model: JSON only, not the table
+    seconds: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
         d = dataclasses.asdict(self)
@@ -106,7 +112,12 @@ def item_item_precision_at_k(
 ) -> float:
     """Average over query items of (top-k neighbours sharing the query's
     tag)/k, the query itself excluded from the candidates. A catalogue of
-    fewer than 2 items leaves no candidate, so it raises DataError."""
+    fewer than 2 items leaves no candidate, so it raises DataError.
+
+    The queries are ranked in blocks (``model.rank_latent_rows_for_items``):
+    each gets the ids, and any warning, of its own
+    ``model.rank_latents_for_item`` call, and a query with a tie at the k-th
+    place is ranked by that function itself."""
     item_ids = list(item_ids)
     if not item_ids:
         raise DataError("no items to evaluate")
@@ -117,8 +128,7 @@ def item_item_precision_at_k(
         )
     rows = store.item_rows(item_ids)
     z_items = M.catalogue_latents(model, store.item_features)
-    ranked = np.array([M.rank_latents_for_item(z_items[row], store.item_ids, z_items, k, (int(iid),))
-                       for iid, row in zip(item_ids, rows)])
+    ranked = M.rank_latent_rows_for_items(store.item_ids, z_items, rows, k)
     hits = store.item_tags[store.item_rows(ranked)] == store.item_tags[rows, None]
     return float(np.mean(hits.sum(axis=1) / ranked.shape[1]))
 
@@ -130,16 +140,24 @@ def evaluate_model(
     k: int = 10,
 ) -> EvalReport:
     """Full report: pairwise accuracy on the given triplets (if any) plus
-    both retrieval precisions over the whole corpus."""
+    both retrieval precisions over the whole corpus, with each metric's
+    wall time in ``seconds``."""
     report = EvalReport()
+
+    def timed(name, metric, *args):
+        start = time.perf_counter()
+        value = metric(model, *args)
+        report.seconds[name] = time.perf_counter() - start
+        return value
+
     if test_triplets is not None and len(test_triplets) > 0:
-        report.pairwise_accuracy = pairwise_accuracy(model, test_triplets, store)
+        report.pairwise_accuracy = timed("pairwise", pairwise_accuracy, test_triplets, store)
         report.n_test["pairwise"] = len(test_triplets)
-    report.precision_at_k[k] = precision_at_k(model, store.user_ids.tolist(), store, k)
+    report.precision_at_k[k] = timed("precision_at_k", precision_at_k,
+                                     store.user_ids.tolist(), store, k)
     report.n_test["users"] = store.n_users
-    report.item_item_precision_at_k[k] = item_item_precision_at_k(
-        model, store.item_ids.tolist(), store, k
-    )
+    report.item_item_precision_at_k[k] = timed("item_item_precision_at_k", item_item_precision_at_k,
+                                               store.item_ids.tolist(), store, k)
     report.n_test["items"] = store.n_items
     return report
 

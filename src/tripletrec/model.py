@@ -526,6 +526,81 @@ def rank_latents_for_item(
     return top
 
 
+# Query rows times candidates in one block of rank_latent_rows_for_items, so
+# a distance buffer takes about ITEM_BLOCK * 8 bytes; a catalogue of more
+# items than that goes one query row per block.
+ITEM_BLOCK = 1 << 16
+
+
+def item_distances(z_items: Array, rows: Array) -> Array:
+    """Squared Euclidean distances of the rows ``rows`` of ``z_items`` (n, L),
+    1 <= L < 8, to all n rows, as a (len(rows), n) array, formed one latent
+    dimension at a time over whole columns. Row i equals ``((z_items -
+    z_items[rows[i]]) ** 2).sum(axis=1)`` bit for bit, the distances of
+    :func:`rank_latents_for_item`, because numpy adds fewer than 8 terms left
+    to right in either memory layout; from 8 terms up its order depends on
+    the layout."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols, z_q = np.ascontiguousarray(z_items.T), z_items[rows]
+    shape = (rows.shape[0], cols.shape[1])
+    d, term = np.empty(shape), np.empty(shape)
+    for l in range(cols.shape[0]):
+        # (q_l - col_l)^2, the same bits as (col_l - q_l)^2: numpy subtracts
+        # a per-row scalar about 3x slower than a copy and a full subtraction
+        out = term if l else d
+        np.copyto(out, z_q[:, l, None])
+        np.subtract(out, cols[l], out=out)
+        np.square(out, out=out)
+        if l:
+            d += term
+    return d
+
+
+def rank_latent_rows_for_items(item_ids: Array, z_items: Array, rows: Array, k: int) -> Array:
+    """Row i is ``rank_latents_for_item(z_items[rows[i]], item_ids, z_items,
+    k, (item_ids[rows[i]],))``: the top-k neighbours of each catalogue row
+    in ``rows``, its own id excluded, with the same ids and warnings.
+
+    Queries go in blocks of about ITEM_BLOCK distances (see
+    :func:`item_distances`), and each block is partitioned once at its
+    (k + 1)-th distance. A row that this cannot settle exactly goes to
+    :func:`rank_latents_for_item` itself: one where more than k + 1
+    candidates lie at or below that distance (a tie at it) or fewer (it is
+    NaN), one whose id does not fill exactly one of the k + 1 places, and
+    every row when k < 1, k >= n or the latents have 8 or more dims. If some
+    row gets fewer than k ids, the rows are stacked as ``np.array`` stacks
+    them."""
+    item_ids, rows = np.asarray(item_ids), np.asarray(rows, dtype=np.intp)
+    n = item_ids.shape[0]
+    out = np.empty((rows.shape[0], min(max(k, 0), n)), dtype=item_ids.dtype)
+    settled = np.zeros(rows.shape[0], dtype=bool)
+    if 1 <= k < n and 1 <= z_items.shape[1] < 8:
+        step = max(1, ITEM_BLOCK // n)
+        for lo in range(0, rows.shape[0], step):
+            block = rows[lo : lo + step]
+            d = item_distances(z_items, block)
+            near = np.argpartition(d, k, axis=1)[:, : k + 1]
+            d_near = np.take_along_axis(d, near, axis=1)
+            ids_near = item_ids[near]
+            ranked = np.take_along_axis(ids_near, np.lexsort((ids_near, d_near), axis=1), axis=1)
+            own = ranked == item_ids[block, None]
+            ok = ((np.count_nonzero(d <= d_near[:, k, None], axis=1) == k + 1)
+                  & (np.count_nonzero(own, axis=1) == 1))
+            out[lo : lo + step][ok] = ranked[ok][~own[ok]].reshape(-1, k)
+            settled[lo : lo + step] = ok
+    short = {}
+    for i in np.flatnonzero(~settled).tolist():
+        r = rows[i]
+        top = rank_latents_for_item(z_items[r], item_ids, z_items, k, (item_ids[r],))
+        if top.shape[0] < k:
+            short[i] = top
+        else:
+            out[i] = top
+    if short:
+        return np.array([short.get(i, row) for i, row in enumerate(out)])
+    return out
+
+
 def catalogue_latents(model: TripletModelParams, item_features: Array) -> Array:
     """``embed_item(model.item_tower, item_features)``, cached per model: the
     latents of every catalogue item, a catalogue-row query's included (see

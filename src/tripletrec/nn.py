@@ -433,10 +433,11 @@ def layer_norm_backward(d_out: Array, cache) -> Array:
     gain.grad += (d_out * xhat).sum(axis=0, keepdims=True)
     shift.grad += d_out.sum(axis=0, keepdims=True)
     d_xhat = d_out * gain.value
+    width = d_xhat.shape[1]
     # Where the variance sits at the floor the denominator is a constant,
     # so the variance term of the usual layer-norm gradient drops out.
-    mean_d = d_xhat.mean(axis=1, keepdims=True)
-    proj = (d_xhat * xhat).mean(axis=1, keepdims=True)
+    mean_d = np.add.reduce(d_xhat, axis=1, keepdims=True) / width
+    proj = np.add.reduce(d_xhat * xhat, axis=1, keepdims=True) / width
     return (d_xhat - mean_d - above * xhat * proj) / denom
 
 

@@ -313,16 +313,15 @@ class TestRetrieve:
             self, corpus_dir, ckpt_file, capsys, monkeypatch):
         store = D.load_corpus_dir(corpus_dir)
         scored = {}
-        rank = M.rank_latents_for_item
+        rank = M.rank_latent_rows_for_items
 
-        def recording(z_q, item_ids, z_items, k, exclude_ids):
-            ranked = rank(z_q, item_ids, z_items, k, exclude_ids)
-            (query,) = exclude_ids
-            scored[query] = ranked.tolist()
+        def recording(item_ids, z_items, rows, k):
+            ranked = rank(item_ids, z_items, rows, k)
+            scored.update(zip(item_ids[rows].tolist(), ranked.tolist()))
             return ranked
 
         with monkeypatch.context() as patch:
-            patch.setattr(M, "rank_latents_for_item", recording)
+            patch.setattr(M, "rank_latent_rows_for_items", recording)
             E.item_item_precision_at_k(load_checkpoint(ckpt_file).model,
                                        store.item_ids.tolist(), store, 5)
         assert sorted(scored) == store.item_ids.tolist()

@@ -290,6 +290,31 @@ class TestItemItemPrecision:
                 rtol=1e-12,
             )
 
+    @pytest.mark.parametrize("k", [1, 3, 14, 15])
+    def test_duplicate_ids_score_as_one_ranking_per_query(self, k, monkeypatch):
+        """Rows 1, 4, 7, ... take the ids of rows 0, 3, 6, ..., so 6 ids each
+        name two catalogue rows and both copies leave a query's candidates;
+        blocks of 4 queries do not divide the 18."""
+        full = small_corpus(items=6)
+        ids = full.item_ids.copy()
+        ids[1::3] = ids[0::3]
+        store = FeatureStore(full.user_ids, full.user_topics, full.user_tags,
+                             ids, full.item_features, full.item_tags)
+        model = M.init_model(
+            M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
+            M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
+            RngState(17),
+        )
+        queries = store.item_ids.tolist()
+        rows = store.item_rows(queries)
+        z = M.catalogue_latents(model, store.item_features)
+        ranked = np.array([M.rank_latents_for_item(z[r], store.item_ids, z, k, (q,))
+                           for q, r in zip(queries, rows)])
+        hits = store.item_tags[store.item_rows(ranked)] == store.item_tags[rows, None]
+        monkeypatch.setattr(M, "ITEM_BLOCK", 4 * store.n_items)
+        got = item_item_precision_at_k(model, queries, store, k)
+        assert got == float(np.mean(hits.sum(axis=1) / ranked.shape[1]))
+
     def test_one_item_catalogue_is_a_data_error(self):
         full = small_corpus()
         store = FeatureStore(full.user_ids, full.user_topics, full.user_tags,
@@ -308,9 +333,13 @@ class TestEvalReport:
         parsed = json.loads(report.to_json())
         assert parsed["pairwise_accuracy"] == 0.0
         assert "3" in parsed["precision_at_k"]
+        seconds = parsed["seconds"]
+        assert sorted(seconds) == ["item_item_precision_at_k", "pairwise", "precision_at_k"]
+        assert all(isinstance(s, float) and s > 0.0 for s in seconds.values())
         table = report.to_table()
         assert "pairwise accuracy" in table
         assert "precision@3" in table
+        assert table.count("\n") == 2 and "second" not in table
 
     @pytest.mark.parametrize("rows", [None, slice(0, 0), slice(0, 1)], ids=["none", "empty", "one"])
     def test_pairwise_accuracy_only_for_a_nonempty_test_set(self, rows):

@@ -679,6 +679,115 @@ class TestItemQuery:
                         == ranking_outcome(isin_rank_latents_for_item, *case))
 
 
+@st.composite
+def item_rows_cases(draw):
+    """(item ids, latents, query rows, k, rows per block): latents of 1-3 or
+    9 dims, in C or Fortran order, copy earlier rows (exact ties) and take
+    +-inf and NaN, ids may repeat, query rows repeat and come in any order,
+    and k runs from 0 past the candidate count."""
+    n = draw(st.integers(1, 24))
+    dim = draw(st.integers(1, 3) | st.just(9))
+    values = st.sampled_from([0.0, 1.0, -2.0, np.inf, -np.inf, np.nan]) | st.floats(-1e3, 1e3)
+    z = []
+    for r in range(n):
+        if r and draw(st.booleans()):
+            z.append(z[draw(st.integers(0, r - 1))])
+        else:
+            z.append(draw(st.lists(values, min_size=dim, max_size=dim)))
+    ids = draw(st.permutations(range(100, 100 + n))
+               | st.lists(st.integers(0, n), min_size=n, max_size=n))
+    rows = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 4))
+    k = draw(st.integers(0, n + 1))
+    z = np.asarray(np.array(z, dtype=np.float64).reshape(n, dim), order=draw(st.sampled_from("CF")))
+    return np.array(ids, dtype=np.int64), z, np.array(rows), k, draw(st.integers(1, 4))
+
+
+class TestItemRows:
+    """The block ranker gives every query row the ids and warnings of its own
+    rank_latents_for_item call, and its distances are the row expression's."""
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", range(1, 8))
+    def test_block_distances_equal_the_row_expression(self, dim, order):
+        gen = np.random.default_rng(dim)
+        z = np.asarray(gen.normal(size=(40, dim)) * gen.uniform(0.01, 100.0, size=dim),
+                       order=order)
+        rows = np.array([3, 0, 39, 3, 17])
+        want = np.array([((z - z[r]) ** 2).sum(axis=1) for r in rows])
+        npt.assert_array_equal(M.item_distances(z, rows), want)
+
+    @settings(max_examples=500, deadline=None)
+    @given(item_rows_cases())
+    # rows 0 and 1 tie at the (k + 1)-th distance of query row 2
+    @example((np.arange(4), np.array([[1.0], [-1.0], [0.0], [5.0]]), np.array([2, 0]), 1, 1))
+    # id 7 fills two of the k + 1 places of query row 0
+    @example((np.array([7, 7, 8, 9]), np.array([[0.0], [0.5], [1.0], [2.0]]), np.array([0]), 1, 1))
+    # a NaN latent, and k = n - 1, n, n + 1
+    @example((np.arange(5), np.array([[0.0], [np.nan], [1.0], [3.0], [6.0]]), np.arange(5), 2, 2))
+    @example((np.arange(5), np.arange(5.0).reshape(5, 1), np.arange(5), 4, 1))
+    @example((np.arange(5), np.arange(5.0).reshape(5, 1), np.arange(5), 5, 1))
+    @example((np.arange(5), np.arange(5.0).reshape(5, 1), np.arange(5), 6, 1))
+    def test_every_row_ranks_as_rank_latents_for_item(self, case):
+        item_ids, z, rows, k, rows_per_block = case
+
+        def one_call_per_row():
+            return np.array([M.rank_latents_for_item(z[r], item_ids, z, k, (item_ids[r],))
+                             for r in rows])
+
+        want, want_warnings = ranking_outcome(one_call_per_row)
+        with mock.patch.object(M, "ITEM_BLOCK", rows_per_block * len(item_ids)):
+            got, got_warnings = ranking_outcome(M.rank_latent_rows_for_items, item_ids, z, rows, k)
+        assert got == want
+        # the same warnings, attributed to the block ranker's line instead
+        assert [w[:2] for w in got_warnings] == [w[:2] for w in want_warnings]
+
+    def test_only_rows_with_a_tie_at_the_cut_off_are_sent_back(self):
+        """Blocks of 3 rows over 52 queries: exactly the queries whose
+        (k + 1)-th distance ties go to rank_latents_for_item, and every row,
+        settled in its block or not, ranks as that function does."""
+        gen = np.random.default_rng(5)
+        z = gen.normal(size=(50, 3))
+        z[[7, 8]] = z[40]  # three equal latents: a query whose cut-off falls on them ties
+        item_ids = np.arange(1000, 1050)
+        rows = np.r_[np.arange(50), 40, 7]
+        dists = [((z - z[r]) ** 2).sum(axis=1) for r in rows]
+        tied = [(item_ids[r],) for r, d in zip(rows, dists) if (d <= np.sort(d)[4]).sum() != 5]
+        sent_back = []
+        rank = M.rank_latents_for_item
+
+        def recording(z_q, ids, z_items, k, exclude_ids):
+            sent_back.append(exclude_ids)
+            return rank(z_q, ids, z_items, k, exclude_ids)
+
+        with mock.patch.object(M, "ITEM_BLOCK", 50 * 3), \
+                mock.patch.object(M, "rank_latents_for_item", recording):
+            got = M.rank_latent_rows_for_items(item_ids, z, rows, 4)
+        want = [rank(z[r], item_ids, z, 4, (item_ids[r],)).tolist() for r in rows]
+        assert got.tolist() == want
+        assert sent_back == tied and 0 < len(tied) < len(rows)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("dim", [8, 9, 17])
+    def test_latents_of_8_or_more_dims_are_all_sent_back(self, dim, order):
+        """numpy's sum order over 8 or more dims depends on the memory
+        layout, so no such row is settled in a block."""
+        gen = np.random.default_rng(dim)
+        z = np.asarray(gen.normal(size=(30, dim)), order=order)
+        item_ids = np.arange(30)
+        rows = np.array([4, 0, 29, 4])
+        sent_back = []
+        rank = M.rank_latents_for_item
+
+        def recording(z_q, ids, z_items, k, exclude_ids):
+            sent_back.append(exclude_ids)
+            return rank(z_q, ids, z_items, k, exclude_ids)
+
+        with mock.patch.object(M, "rank_latents_for_item", recording):
+            got = M.rank_latent_rows_for_items(item_ids, z, rows, 5)
+        assert got.tolist() == [rank(z[r], item_ids, z, 5, (r,)).tolist() for r in rows]
+        assert sent_back == [(r,) for r in rows]
+
+
 class TestWeightSharing:
     def test_exactly_one_item_tower_parameter_set(self):
         m = tiny_model(seed=71)
