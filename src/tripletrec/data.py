@@ -17,6 +17,13 @@ four int64 fields, ``user_id``, ``item_i_id``, ``item_j_id`` and ``label``:
 reads ``t.user_id`` and so on. Functions that take triplets map whole id
 columns to store rows with ``FeatureStore.user_rows`` and ``item_rows``.
 
+``build_triplets`` takes each negative as one bounded draw of an index into
+its pool, from one generator seeded by the caller: one ``integers`` call
+draws them all for ``unbalanced``, ``one_to_n(1)`` and ``balanced``, and
+``one_to_n(n)`` with n >= 2 makes one ``choice`` call per positive. These are
+the draws one ``choice`` call per negative or per positive makes, in the same
+order, so a seed gives the same triplets as such a loop would.
+
 Loading gives exactly what was saved or raises DataError naming the file, the
 line and, for a bad cell, the column: bytes that are not UTF-8, CSV syntax
 errors, rows whose width differs from the header's, cells that are not finite
@@ -437,7 +444,27 @@ def build_triplets(store: FeatureStore, strategy: PairingStrategy, seed: int) ->
     """Pair each user's positives (items carrying the user's dominant tag)
     with negatives from other tags according to the strategy, then emit each
     triplet in a random orientation: (pos, neg, label 0) or (neg, pos,
-    label 1) with equal probability, so labels are balanced."""
+    label 1) with equal probability, so labels are balanced.
+
+    Triplets run user row by user row, each user's positives in item-row
+    order, each positive's negatives in the order drawn. All draws come from
+    one generator seeded by ``seed``, and each negative is one bounded draw
+    of an index into its pool:
+
+    * ``unbalanced`` and ``one_to_n(1)``: one ``integers`` call with one
+      bound per positive, the number of items of other tags;
+    * ``balanced``: one ``integers`` call with one bound per (positive,
+      other tag), other tags ascending, the number of items of that tag; then
+      one ``choice`` per (positive tag, negative tag) group that is trimmed;
+    * ``one_to_n(n)``, n >= 2: one ``choice(pool, size=n, replace=False)``
+      per positive, or, for a user with fewer than n negatives (which warns
+      once), one ``integers`` call over all its positives with replacement.
+
+    One ``random`` call then draws the orientations. These are the draws,
+    in the same order, of one ``choice`` call per negative (``balanced``) or
+    per positive, so a seed gives the same triplets as that loop, which the
+    tests keep as the reference.
+    """
     rows_by_tag = store.item_rows_by_tag()
     if len(rows_by_tag) < 2:
         raise DataError("need at least 2 distinct item tags to build triplets")
@@ -446,43 +473,54 @@ def build_triplets(store: FeatureStore, strategy: PairingStrategy, seed: int) ->
             raise DataError(f"tag {int(t)} has users but no items")
 
     gen = np.random.default_rng(np.random.SeedSequence(seed))
-    item_tags_sorted = sorted(rows_by_tag)
-    base: list[tuple[int, int, int, int, int]] = []  # (uid, pos_id, neg_id, pos_tag, neg_tag)
-    warned_replacement = False
+    pos_of_user = [rows_by_tag[int(t)] for t in store.user_tags]
+    n_pos = np.array([len(rows) for rows in pos_of_user], dtype=np.int64)
+    user = np.repeat(np.arange(store.n_users), n_pos)
+    pos = np.concatenate([np.empty(0, np.int64), *pos_of_user])  # no users: no positives
+    pos_tag = store.item_tags[pos]
 
-    for u_row in range(store.n_users):
-        uid = int(store.user_ids[u_row])
-        t = int(store.user_tags[u_row])
-        pos_rows = rows_by_tag[t]
-        neg_pool = np.flatnonzero(store.item_tags != t)
-        if strategy.variant == "balanced":
-            for p_row in pos_rows:
-                pos_id = int(store.item_ids[p_row])
-                for s in item_tags_sorted:
-                    if s == t:
-                        continue
-                    n_row = int(gen.choice(rows_by_tag[s]))
-                    base.append((uid, pos_id, int(store.item_ids[n_row]), t, s))
+    # k[i, j] is the index of positive i's j-th negative in its pool
+    if strategy.variant == "balanced":
+        # the pool of column j is the rows of the j-th other tag
+        tags, n_of_tag = np.unique(store.item_tags, return_counts=True)
+        others = np.array([np.delete(np.arange(len(tags)), i) for i in range(len(tags))])
+        other = others[np.searchsorted(tags, pos_tag)]
+        k = gen.integers(0, n_of_tag[other])
+        by_tag = np.argsort(store.item_tags, kind="stable")  # each tag's rows, in order
+        tag_start = np.cumsum(n_of_tag) - n_of_tag  # in by_tag
+        neg = by_tag[tag_start[other] + k]
+    else:
+        # the pool is the rows not of the positive's tag
+        n_neg = 1 if strategy.variant == "unbalanced" else strategy.n
+        n_pool = store.n_items - n_pos  # of each user
+        if n_neg == 1:
+            k = gen.integers(0, np.repeat(n_pool, n_pos))[:, None]
         else:
-            n_neg = 1 if strategy.variant == "unbalanced" else strategy.n
-            for p_row in pos_rows:
-                pos_id = int(store.item_ids[p_row])
-                if n_neg <= neg_pool.size:
-                    neg_rows = gen.choice(neg_pool, size=n_neg, replace=False)
+            k = np.empty((len(pos), n_neg), dtype=np.int64)
+            stop = np.cumsum(n_pos)
+            warned_replacement = False
+            for u, start in enumerate(stop - n_pos):
+                if n_neg <= n_pool[u]:
+                    for i in range(start, stop[u]):
+                        k[i] = gen.choice(n_pool[u], size=n_neg, replace=False)
                 else:
                     if not warned_replacement:
                         warnings.warn(
                             f"requested {n_neg} negatives per positive but only "
-                            f"{neg_pool.size} are available; sampling with replacement"
+                            f"{n_pool[u]} are available; sampling with replacement"
                         )
                         warned_replacement = True
-                    neg_rows = gen.choice(neg_pool, size=n_neg, replace=True)
-                for n_row in neg_rows:
-                    base.append(
-                        (uid, pos_id, int(store.item_ids[n_row]), t, int(store.item_tags[n_row]))
-                    )
+                    k[start : stop[u]] = gen.integers(0, n_pool[u], size=(n_pos[u], n_neg))
+        neg = np.empty_like(k)
+        for t in np.unique(pos_tag):
+            at = pos_tag == t
+            neg[at] = np.flatnonzero(store.item_tags != t)[k[at]]
 
-    base = np.array(base, dtype=np.int64).reshape(-1, 5)
+    per_pos = k.shape[1]
+    base = np.stack([np.repeat(store.user_ids[user], per_pos),
+                     np.repeat(store.item_ids[pos], per_pos), store.item_ids[neg].ravel(),
+                     np.repeat(pos_tag, per_pos), store.item_tags[neg].ravel()],
+                    axis=1, dtype=np.int64)  # (uid, pos_id, neg_id, pos_tag, neg_tag)
     if strategy.variant == "balanced":
         # trim each (positive tag, negative tag) group, in sorted order, to
         # the smallest group's size at random, keeping the triplet order

@@ -43,7 +43,13 @@ NORM_VAR_FLOOR = 1e-5
 
 
 class NonFiniteLossError(ArithmeticError):
-    """Raised when a loss evaluates to NaN/Inf; message names the batch."""
+    """Raised when a loss evaluates to NaN/Inf; message names the batch.
+
+    Raised out of ``train.train``, ``last_epoch`` is the JSON line of the
+    last epoch it finished, as a dict, or None if the first epoch failed.
+    """
+
+    last_epoch: dict | None = None
 
 
 @dataclass

@@ -106,6 +106,10 @@ def train(
 
     ``eval_triplets`` plus ``config.eval_every > 0`` adds a held-out pairwise
     accuracy to the per-epoch JSON line every eval_every epochs.
+
+    A non-finite loss raises ``NonFiniteLossError`` naming the batch and the
+    JSON line of the last finished epoch, which it also holds as the dict
+    ``last_epoch`` (None in epoch 1).
     """
     if triplets is None or len(triplets) == 0:
         raise DataError("no training triplets")
@@ -125,6 +129,7 @@ def train(
     n_examples = len(labels)
 
     loss_history: list[float] = []
+    last_line = None  # of the last epoch printed
     step = 0
     for epoch in range(1, config.epochs + 1):
         perm = rng.next_generator().permutation(n_examples)
@@ -142,10 +147,13 @@ def train(
                     items=store.item_features,
                 )
             except NonFiniteLossError as e:
-                raise NonFiniteLossError(
+                err = NonFiniteLossError(
                     f"epoch {epoch}, batch starting at {start}: {e}; "
-                    f"example indices {idx[:8].tolist()}"
-                ) from None
+                    f"example indices {idx[:8].tolist()}; last good epoch "
+                    f"{json.dumps(last_line) if last_line else 'none'}"
+                )
+                err.last_epoch = last_line
+                raise err from None
             step += 1
             adam_step(params, lr=config.learning_rate, step=step)
             zero_grads(params)
@@ -162,6 +170,7 @@ def train(
         ):
             line["eval_acc"] = E.pairwise_accuracy(model, eval_triplets, store)
         print(json.dumps(line), file=log)
+        last_line = line
 
     return Checkpoint(
         config=config,

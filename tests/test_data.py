@@ -4,6 +4,8 @@ properties, triplet assembly under all three pairing regimes, splitting."""
 import csv
 import hashlib
 import io
+import warnings
+from collections import Counter
 
 import numpy as np
 import numpy.testing as npt
@@ -457,7 +459,7 @@ class TestBuildTriplets:
         store = small_store()
         a = build_triplets(store, PairingStrategy.one_to_n(1), seed=5)
         b = build_triplets(store, PairingStrategy.unbalanced(), seed=5)
-        assert len(a) == len(b)
+        assert np.array_equal(a, b)
 
     def test_label_balance(self):
         cfg = SynthConfig(num_tags=2, users_per_tag=10, items_per_tag=50,
@@ -556,6 +558,175 @@ class TestBuildTriplets:
             PairingStrategy("bogus")
         with pytest.raises(ValueError):
             PairingStrategy.one_to_n(0)
+
+
+def build_triplets_by_loop(store, strategy, seed):
+    """The reference build: one ``choice`` call per negative (``balanced``)
+    or per positive, one 5-tuple appended per negative. It takes only
+    stores that build_triplets accepts."""
+    rows_by_tag = store.item_rows_by_tag()
+    gen = np.random.default_rng(np.random.SeedSequence(seed))
+    item_tags_sorted = sorted(rows_by_tag)
+    base = []  # (uid, pos_id, neg_id, pos_tag, neg_tag)
+    warned_replacement = False
+
+    for u_row in range(store.n_users):
+        uid = int(store.user_ids[u_row])
+        t = int(store.user_tags[u_row])
+        pos_rows = rows_by_tag[t]
+        neg_pool = np.flatnonzero(store.item_tags != t)
+        if strategy.variant == "balanced":
+            for p_row in pos_rows:
+                pos_id = int(store.item_ids[p_row])
+                for s in item_tags_sorted:
+                    if s == t:
+                        continue
+                    n_row = int(gen.choice(rows_by_tag[s]))
+                    base.append((uid, pos_id, int(store.item_ids[n_row]), t, s))
+        else:
+            n_neg = 1 if strategy.variant == "unbalanced" else strategy.n
+            for p_row in pos_rows:
+                pos_id = int(store.item_ids[p_row])
+                if n_neg <= neg_pool.size:
+                    neg_rows = gen.choice(neg_pool, size=n_neg, replace=False)
+                else:
+                    if not warned_replacement:
+                        warnings.warn(
+                            f"requested {n_neg} negatives per positive but only "
+                            f"{neg_pool.size} are available; sampling with replacement"
+                        )
+                        warned_replacement = True
+                    neg_rows = gen.choice(neg_pool, size=n_neg, replace=True)
+                for n_row in neg_rows:
+                    base.append(
+                        (uid, pos_id, int(store.item_ids[n_row]), t, int(store.item_tags[n_row]))
+                    )
+
+    base = np.array(base, dtype=np.int64).reshape(-1, 5)
+    if strategy.variant == "balanced":
+        _, group, sizes = np.unique(base[:, 3:], axis=0, return_inverse=True, return_counts=True)
+        group, m = group.reshape(-1), sizes.min()
+        keep = np.ones(len(base), dtype=bool)
+        for g in np.flatnonzero(sizes > m):
+            idxs = np.flatnonzero(group == g)
+            keep[idxs] = False
+            keep[idxs[gen.choice(len(idxs), size=m, replace=False)]] = True
+        base = base[keep]
+
+    uid, pos_id, neg_id = base[:, :3].T
+    flip = gen.random(len(base)) < 0.5
+    return triplet_array(uid, np.where(flip, neg_id, pos_id), np.where(flip, pos_id, neg_id), flip)
+
+
+def build_outcome(build, store, strategy, seed):
+    """The triplets a build returns and the (category, message) of each
+    warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        triplets = build(store, strategy, seed)
+    return triplets, [(w.category, str(w.message)) for w in caught]
+
+
+def assert_builds_as_the_loop(store, strategy, seed):
+    got, got_warnings = build_outcome(build_triplets, store, strategy, seed)
+    want, want_warnings = build_outcome(build_triplets_by_loop, store, strategy, seed)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert got_warnings == want_warnings
+
+
+@st.composite
+def pairing_cases(draw):
+    """A store of 2-5 tags (negative ones too) with uneven item counts, in
+    any row order, ids neither 0..n-1 nor sorted, and 1-14 users; a
+    strategy, one_to_n's n reaching past the smallest negative pool so some
+    users sample with replacement; and a seed."""
+    tags = draw(st.lists(st.integers(-20, 20), min_size=2, max_size=5, unique=True))
+    counts = draw(st.lists(st.integers(1, 8), min_size=len(tags), max_size=len(tags)))
+    item_tags = np.array(draw(st.permutations(np.repeat(tags, counts).tolist())))
+    user_tags = np.array(draw(st.lists(st.sampled_from(tags), min_size=1, max_size=14)))
+
+    def ids(n):
+        return np.array(draw(st.lists(st.integers(-2**40, 2**40), min_size=n, max_size=n,
+                                      unique=True)))
+
+    store = FeatureStore(
+        user_ids=ids(len(user_tags)), user_topics=np.zeros((len(user_tags), 1)),
+        user_tags=user_tags, item_ids=ids(len(item_tags)),
+        item_features=np.zeros((len(item_tags), 1)), item_tags=item_tags,
+    )
+    smallest_pool = len(item_tags) - max(counts)
+    strategy = draw(st.one_of(
+        st.just(PairingStrategy.unbalanced()),
+        st.just(PairingStrategy.balanced()),
+        st.integers(1, smallest_pool + 2).map(PairingStrategy.one_to_n),
+    ))
+    return store, strategy, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=pairing_cases())
+def test_build_triplets_matches_the_per_positive_loop(case):
+    store, strategy, seed = case
+    event(strategy.variant)
+    assert_builds_as_the_loop(store, strategy, seed)
+
+
+@pytest.mark.parametrize("items_per_tag, strategy", [
+    (40, PairingStrategy.one_to_n(10)),
+    (40, PairingStrategy.unbalanced()),
+    (200, PairingStrategy.unbalanced()),
+    (40, PairingStrategy.balanced()),
+], ids=["desk", "production", "retrieval", "balanced"])
+def test_bench_shapes_build_as_the_loop(items_per_tag, strategy):
+    # 5 tags of 20 users, as every bench workload has
+    store = generate_synthetic(SynthConfig(num_tags=5, users_per_tag=20,
+                                           items_per_tag=items_per_tag, seed=9001,
+                                           frames=1, frame_dim=1))
+    assert_builds_as_the_loop(store, strategy, seed=9001)
+
+
+class CountingGenerator:
+    """A Generator that counts the calls made to each of its methods."""
+
+    def __init__(self, gen):
+        self._gen, self.calls = gen, Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self._gen, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+@pytest.mark.parametrize("strategy, calls", [
+    (PairingStrategy.unbalanced(), {"integers": 1}),
+    (PairingStrategy.one_to_n(1), {"integers": 1}),
+    (PairingStrategy.balanced(), {"integers": 1}),  # equal groups: nothing to trim
+    (PairingStrategy.one_to_n(10), {"choice": 100 * 40}),  # one per positive
+    (PairingStrategy.one_to_n(200), {"integers": 100}),  # one per user: pools of 160
+], ids=["unbalanced", "one_to_n(1)", "balanced", "one_to_n(10)", "one_to_n(200)"])
+def test_generator_calls_of_each_strategy(strategy, calls, monkeypatch):
+    """The calls each strategy makes on its generator: a timing bound would
+    be flaky, a call count is not."""
+    store = generate_synthetic(SynthConfig(num_tags=5, users_per_tag=20, items_per_tag=40,
+                                           seed=1, frames=1, frame_dim=1))
+    made = []
+    default_rng = data_module.np.random.default_rng
+
+    def counting_default_rng(*args):
+        made.append(CountingGenerator(default_rng(*args)))
+        return made[-1]
+
+    monkeypatch.setattr(data_module.np.random, "default_rng", counting_default_rng)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        build_triplets(store, strategy, seed=1)
+    [gen] = made
+    assert gen.calls == Counter(calls, random=1)
 
 
 class TestPairsFromTriplets:

@@ -207,8 +207,23 @@ class TestTrainLoop:
                         feature_noise_std=0.3, seed=5, frames=3, frame_dim=4)
         )
         store_bad.item_features[0, 0] = np.nan
-        with pytest.raises(NonFiniteLossError, match="epoch 1"):
+        with pytest.raises(NonFiniteLossError, match="epoch 1") as caught:
             train(store_bad, triplets, tiny_config(), log_stream=io.StringIO())
+        assert caught.value.last_epoch is None
+        assert str(caught.value).endswith("last good epoch none")
+
+    def test_non_finite_loss_names_the_last_good_epoch(self, corpus):
+        # one batch per epoch; the first Adam step of size 1e300 makes
+        # epoch 2's forward overflow
+        store, triplets = corpus
+        log = io.StringIO()
+        config = tiny_config(epochs=3, batch_size=len(triplets), learning_rate=1e300)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError, match="epoch 2") as caught:
+            train(store, triplets, config, log_stream=log)
+        [printed] = log.getvalue().splitlines()
+        assert caught.value.last_epoch == json.loads(printed)
+        assert caught.value.last_epoch["epoch"] == 1
+        assert str(caught.value).endswith(f"last good epoch {printed}")
 
     def test_unknown_triplet_id_rejected(self, corpus):
         store, triplets = corpus
