@@ -65,6 +65,15 @@ def _add_model_flags(p: argparse.ArgumentParser, defaults: TrainConfig) -> None:
     p.add_argument("--item-hidden", type=_ints, default=defaults.item_tower.hidden_dims)
 
 
+def _add_pairing_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of ``build-pairs`` and ``compare`` that choose how triplets
+    are paired (see :func:`_strategy_from_args`)."""
+    p.add_argument("--strategy", choices=["unbalanced", "balanced", "one-to-n"],
+                   default="unbalanced")
+    p.add_argument("--n", type=_int_at_least(1, "n"), default=10,
+                   help="negatives per positive (one-to-n)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tripletrec",
@@ -74,22 +83,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--tags", type=int, default=5)
-    p.add_argument("--items-per-tag", type=int, default=40)
-    p.add_argument("--users-per-tag", type=int, default=20)
-    p.add_argument("--noise", type=float, default=0.1, help="feature noise std")
-    p.add_argument("--topic-sharpness", type=float, default=4.0)
-    p.add_argument("--frames", type=int, default=20)
-    p.add_argument("--frame-dim", type=int, default=378)
-    p.add_argument("--seed", type=_seed, default=0)
+    # each flag's dest is its SynthConfig field, and every default is SynthConfig()'s
+    p.set_defaults(**dataclasses.asdict(D.SynthConfig()))
+    p.add_argument("--tags", dest="num_tags", type=int)
+    p.add_argument("--items-per-tag", type=int)
+    p.add_argument("--users-per-tag", type=int)
+    p.add_argument("--noise", dest="feature_noise_std", type=float, help="feature noise std")
+    p.add_argument("--topic-sharpness", type=float)
+    p.add_argument("--frames", type=int)
+    p.add_argument("--frame-dim", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--out", required=True, help="corpus directory to write")
 
     p = sub.add_parser("build-pairs", help="assemble training triplets")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--strategy", choices=["unbalanced", "balanced", "one-to-n"],
-                   default="unbalanced")
-    p.add_argument("--n", type=_int_at_least(1, "n"), default=10,
-                   help="negatives per positive (one-to-n)")
+    _add_pairing_flags(p)
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out", required=True, help="triplets CSV to write")
 
@@ -120,9 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="triplet vs twonet across seeds")
     p.add_argument("--corpus", required=True)
     p.add_argument("--seeds", type=_seeds, default=[1, 2, 3, 4, 5])
-    p.add_argument("--strategy", choices=["unbalanced", "balanced", "one-to-n"],
-                   default="unbalanced")
-    p.add_argument("--n", type=_int_at_least(1, "n"), default=10)
+    _add_pairing_flags(p)
     # the desk shape: short runs, small batches and a small item tower
     _add_model_flags(p, TrainConfig(epochs=30, batch_size=64,
                                     item_tower=M.TowerSpec(180, [64, 32, 16, 16])))
@@ -141,18 +147,13 @@ def _strategy_from_args(args) -> D.PairingStrategy:
     return D.PairingStrategy(args.strategy)
 
 
+def _synth_config_from_args(args) -> D.SynthConfig:
+    return D.SynthConfig(**{f.name: getattr(args, f.name)
+                            for f in dataclasses.fields(D.SynthConfig)})
+
+
 def _cmd_synth(args) -> int:
-    cfg = D.SynthConfig(
-        num_tags=args.tags,
-        users_per_tag=args.users_per_tag,
-        items_per_tag=args.items_per_tag,
-        feature_noise_std=args.noise,
-        topic_sharpness=args.topic_sharpness,
-        seed=args.seed,
-        frames=args.frames,
-        frame_dim=args.frame_dim,
-    )
-    store = D.generate_synthetic(cfg)
+    store = D.generate_synthetic(_synth_config_from_args(args))
     D.save_corpus(store, args.out)
     print(f"wrote {store.n_users} users and {store.n_items} items to {args.out}")
     return 0

@@ -14,8 +14,10 @@ the model's cache (``model.catalogue_latents``), so a full evaluation embeds
 the catalogue at most once; every triplet or query is scored against those
 latents. Item -> item queries are ranked in blocks of rows
 (``model.rank_latent_rows_for_items``), with the same bits as one
-``model.rank_latents_for_item`` call per query; a row with a tie at the
-cut-off is ranked by that function itself.
+``model.rank_latents_for_item`` call per query: block distances equal that
+call's row expression at every latent width, and a row with a tie at the
+cut-off is ranked by ``model._top_k`` from its own distances, its id
+excluded by an id mask.
 """
 
 from __future__ import annotations
@@ -117,7 +119,8 @@ def item_item_precision_at_k(
     The queries are ranked in blocks (``model.rank_latent_rows_for_items``):
     each gets the ids, and any warning, of its own
     ``model.rank_latents_for_item`` call, and a query with a tie at the k-th
-    place is ranked by that function itself."""
+    place is ranked by ``model._top_k`` from the distances its block holds,
+    the query's id excluded by an id mask."""
     item_ids = list(item_ids)
     if not item_ids:
         raise DataError("no items to evaluate")
@@ -228,12 +231,11 @@ def compare_methods(
     config_b: T.TrainConfig,
     seeds: list[int],
     strategy: PairingStrategy | None = None,
-    test_fraction: float = 0.2,
     k: int = 10,
     log_stream=None,
 ) -> MethodComparison:
-    """Train both configurations per seed on identical triplet data and
-    report per-seed and aggregate metrics."""
+    """Train both configurations per seed on identical triplet data, a fifth
+    of it held out, and report per-seed and aggregate metrics."""
     if len(seeds) < 3:
         raise ValueError("need at least 3 seeds for a comparison")
     strategy = strategy or PairingStrategy.unbalanced()
@@ -244,7 +246,7 @@ def compare_methods(
     results = []
     for seed in seeds:
         triplets = build_triplets(store, strategy, seed)
-        train_set, test_set = split_train_test(triplets, test_fraction, seed, store)
+        train_set, test_set = split_train_test(triplets, 0.2, seed, store)
         pairwise: dict[str, float] = {}
         item_item: dict[str, float] = {}
         for name, config in ((name_a, config_a), (name_b, config_b)):

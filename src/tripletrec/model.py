@@ -19,6 +19,8 @@ Training objectives:
 
 from __future__ import annotations
 
+import functools
+import operator
 import warnings
 import weakref
 from dataclasses import dataclass, field
@@ -288,14 +290,16 @@ def tower_backward(tower: TowerParams, d_z: Array, caches) -> None:
     linear_param_backward(d, first)
 
 
-def embed_user(tower: TowerParams, u: Array, training: bool = False, rng: RngState | None = None) -> Array:
-    """Map user tag-topic vectors (batch, input_dim) into the latent space."""
-    return tower_forward(tower, u, training, rng)[0]
+def embed_user(tower: TowerParams, u: Array) -> Array:
+    """Map user tag-topic vectors (batch, input_dim) into the latent space,
+    in inference mode (no dropout)."""
+    return tower_forward(tower, u)[0]
 
 
-def embed_item(tower: TowerParams, x: Array, training: bool = False, rng: RngState | None = None) -> Array:
-    """Map flattened item features (batch, input_dim) into the latent space."""
-    return tower_forward(tower, x, training, rng)[0]
+def embed_item(tower: TowerParams, x: Array) -> Array:
+    """Map flattened item features (batch, input_dim) into the latent space,
+    in inference mode (no dropout)."""
+    return tower_forward(tower, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,19 +342,12 @@ def weighted_distance(head: DistanceHeadParams, z_u: Array, z_i: Array) -> Array
 # ---------------------------------------------------------------------------
 
 
-def pair_logit(
-    model: TripletModelParams,
-    u: Array,
-    item_i: Array,
-    item_j: Array,
-    training: bool = False,
-    rng: RngState | None = None,
-) -> Array:
-    """o = D(user, item_i) - D(user, item_j) per row, both items embedded by
-    the one shared item tower."""
-    z_u = embed_user(model.user_tower, u, training, rng)
-    z_i = embed_item(model.item_tower, item_i, training, rng)
-    z_j = embed_item(model.item_tower, item_j, training, rng)
+def pair_logit(model: TripletModelParams, u: Array, item_i: Array, item_j: Array) -> Array:
+    """o = D(user, item_i) - D(user, item_j) per row, in inference mode, both
+    items embedded by the one shared item tower."""
+    z_u = embed_user(model.user_tower, u)
+    z_i = embed_item(model.item_tower, item_i)
+    z_j = embed_item(model.item_tower, item_j)
     d_i = distance_forward(model.head, z_u, z_i)[0]
     d_j = distance_forward(model.head, z_u, z_j)[0]
     return d_i - d_j
@@ -458,14 +455,31 @@ def twonet_loss_and_grads(
 TOP_K_PARTITION_MIN = 512
 
 
-def _top_k(item_ids: Array, distances: Array, k: int, what: str) -> Array:
-    """The first k ids by distance ascending, then id: ``np.lexsort`` order.
-    For k below n and at least TOP_K_PARTITION_MIN candidates, a partition
-    finds the k-th distance and only the candidates at or below it, every
-    tie at it included, are sorted; a NaN k-th distance (fewer than k
-    numbers) falls back to the full sort."""
+def _top_k(item_ids: Array, distances: Array, k: int, what: str, exclude_ids=()) -> Array:
+    """The first k ids by distance ascending, then id: ``np.lexsort`` order,
+    among the candidates whose id is not in ``exclude_ids``.
+
+    Exclusion is an id mask, one ``item_ids != e`` per distinct id e. numpy
+    compares integers exactly, but an integer and a float as two floats (so
+    2**53 + 1 == 2.0**53 there): unless the ids and every e are integers,
+    each candidate the mask drops is checked against the set of excluded
+    ids, as ``in`` would.
+
+    For k below the count left and at least TOP_K_PARTITION_MIN of them, a
+    partition finds the k-th distance and only the candidates at or below
+    it, every tie at it included, are sorted; a NaN k-th distance (fewer
+    than k numbers) falls back to the full sort. Fewer than k left warns,
+    giving the count left."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    if len(exclude_ids):
+        drop = set(exclude_ids)
+        keep = functools.reduce(operator.and_, [item_ids != e for e in drop])
+        exact = item_ids.dtype.kind in "biu" and all(isinstance(e, (int, np.integer)) for e in drop)
+        if not exact:
+            dropped = np.flatnonzero(~keep)
+            keep[dropped] = [i not in drop for i in item_ids[dropped].tolist()]
+        item_ids, distances = item_ids[keep], distances[keep]
     n = item_ids.shape[0]
     if k > n:
         warnings.warn(
@@ -497,33 +511,10 @@ def rank_latents_for_item(
     """Top-k neighbours of one item latent among already embedded items by
     squared Euclidean distance (the head scores user-item pairs only), ties
     by ascending id; ``exclude_ids`` drops candidates, typically the query.
-
-    With exclusions, the first ``k + len(set(exclude_ids))`` candidates are
-    ranked and the excluded ids dropped from them, so no mask over the whole
-    catalogue is built; only when an id repeated in ``item_ids`` leaves
-    fewer than k are all candidates ranked. Fewer than k left warns, giving
-    the count left."""
-    item_ids = np.asarray(item_ids)
+    One :func:`_top_k` call over every candidate's distance: the exclusion
+    is its id mask, and fewer than k left warns, giving the count left."""
     d = ((z_items - z_q) ** 2).sum(axis=1)
-    if not len(exclude_ids):
-        return _top_k(item_ids, d, k, "item neighbours")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    drop, n = set(exclude_ids), item_ids.shape[0]
-    m = min(n, k + len(drop))
-    top = _top_k(item_ids, d, m, "item neighbours") if m else item_ids
-    keep = [i not in drop for i in top.tolist()]
-    if sum(keep) < k and m < n:  # an excluded id repeated in item_ids took several places
-        top = _top_k(item_ids, d, n, "item neighbours")
-        keep = [i not in drop for i in top.tolist()]
-    top = top[np.array(keep, dtype=bool)][:k]
-    if top.shape[0] < k:
-        warnings.warn(
-            f"requested top-{k} item neighbours but only {top.shape[0]} candidates exist; "
-            f"returning all",
-            stacklevel=2,
-        )
-    return top
+    return _top_k(np.asarray(item_ids), d, k, "item neighbours", exclude_ids)
 
 
 # Query rows times candidates in one block of rank_latent_rows_for_items, so
@@ -533,14 +524,20 @@ ITEM_BLOCK = 1 << 16
 
 
 def item_distances(z_items: Array, rows: Array) -> Array:
-    """Squared Euclidean distances of the rows ``rows`` of ``z_items`` (n, L),
-    1 <= L < 8, to all n rows, as a (len(rows), n) array, formed one latent
-    dimension at a time over whole columns. Row i equals ``((z_items -
-    z_items[rows[i]]) ** 2).sum(axis=1)`` bit for bit, the distances of
-    :func:`rank_latents_for_item`, because numpy adds fewer than 8 terms left
-    to right in either memory layout; from 8 terms up its order depends on
-    the layout."""
+    """Squared Euclidean distances of the rows ``rows`` of ``z_items`` (n, L)
+    to all n rows, as a (len(rows), n) array whose row i equals ``((z_items -
+    z_items[rows[i]]) ** 2).sum(axis=1)``, the distances of
+    :func:`rank_latents_for_item`, bit for bit at every width L. For 1 <= L <
+    8 they are formed one latent dimension at a time over whole columns,
+    which gives those bits because numpy adds fewer than 8 terms left to
+    right in either memory layout. From 8 terms up numpy's order depends on
+    the layout, so each row is that expression itself."""
     rows = np.asarray(rows, dtype=np.intp)
+    if not 1 <= z_items.shape[1] < 8:
+        d = np.empty((rows.shape[0], z_items.shape[0]))
+        for i, r in enumerate(rows.tolist()):
+            d[i] = ((z_items - z_items[r]) ** 2).sum(axis=1)
+        return d
     cols, z_q = np.ascontiguousarray(z_items.T), z_items[rows]
     shape = (rows.shape[0], cols.shape[1])
     d, term = np.empty(shape), np.empty(shape)
@@ -563,39 +560,37 @@ def rank_latent_rows_for_items(item_ids: Array, z_items: Array, rows: Array, k: 
 
     Queries go in blocks of about ITEM_BLOCK distances (see
     :func:`item_distances`), and each block is partitioned once at its
-    (k + 1)-th distance. A row that this cannot settle exactly goes to
-    :func:`rank_latents_for_item` itself: one where more than k + 1
-    candidates lie at or below that distance (a tie at it) or fewer (it is
-    NaN), one whose id does not fill exactly one of the k + 1 places, and
-    every row when k < 1, k >= n or the latents have 8 or more dims. If some
-    row gets fewer than k ids, the rows are stacked as ``np.array`` stacks
+    (k + 1)-th distance. A row that this cannot settle exactly is ranked by
+    :func:`_top_k` from the distances its block holds, its own id excluded:
+    one where more than k + 1 candidates lie at or below that distance (a
+    tie at it) or fewer (it is NaN), one whose id does not fill exactly one
+    of the k + 1 places, and every row when k < 1 or k >= n. If some row
+    gets fewer than k ids, the rows are stacked as ``np.array`` stacks
     them."""
     item_ids, rows = np.asarray(item_ids), np.asarray(rows, dtype=np.intp)
     n = item_ids.shape[0]
     out = np.empty((rows.shape[0], min(max(k, 0), n)), dtype=item_ids.dtype)
-    settled = np.zeros(rows.shape[0], dtype=bool)
-    if 1 <= k < n and 1 <= z_items.shape[1] < 8:
-        step = max(1, ITEM_BLOCK // n)
-        for lo in range(0, rows.shape[0], step):
-            block = rows[lo : lo + step]
-            d = item_distances(z_items, block)
+    short = {}
+    step = max(1, ITEM_BLOCK // max(n, 1))
+    for lo in range(0, rows.shape[0], step):
+        block = rows[lo : lo + step]
+        d = item_distances(z_items, block)
+        settled = np.zeros(block.shape[0], dtype=bool)
+        if 1 <= k < n:
             near = np.argpartition(d, k, axis=1)[:, : k + 1]
             d_near = np.take_along_axis(d, near, axis=1)
             ids_near = item_ids[near]
             ranked = np.take_along_axis(ids_near, np.lexsort((ids_near, d_near), axis=1), axis=1)
             own = ranked == item_ids[block, None]
-            ok = ((np.count_nonzero(d <= d_near[:, k, None], axis=1) == k + 1)
-                  & (np.count_nonzero(own, axis=1) == 1))
-            out[lo : lo + step][ok] = ranked[ok][~own[ok]].reshape(-1, k)
-            settled[lo : lo + step] = ok
-    short = {}
-    for i in np.flatnonzero(~settled).tolist():
-        r = rows[i]
-        top = rank_latents_for_item(z_items[r], item_ids, z_items, k, (item_ids[r],))
-        if top.shape[0] < k:
-            short[i] = top
-        else:
-            out[i] = top
+            settled = ((np.count_nonzero(d <= d_near[:, k, None], axis=1) == k + 1)
+                       & (np.count_nonzero(own, axis=1) == 1))
+            out[lo : lo + step][settled] = ranked[settled][~own[settled]].reshape(-1, k)
+        for j in np.flatnonzero(~settled).tolist():
+            top = _top_k(item_ids, d[j], k, "item neighbours", (item_ids[block[j]],))
+            if top.shape[0] < k:
+                short[lo + j] = top
+            else:
+                out[lo + j] = top
     if short:
         return np.array([short.get(i, row) for i, row in enumerate(out)])
     return out
@@ -668,7 +663,8 @@ def rank_items_for_item(
     item_features: Array, k: int, exclude_ids=(),
 ) -> Array:
     """Take the items' latents from :func:`catalogue_latents` and the
-    query's as below, then rank as :func:`rank_latents_for_item` does.
+    query's as below, then rank as :func:`rank_latents_for_item` does:
+    ``exclude_ids`` drops candidates by an id mask (see :func:`_top_k`).
 
     A query equal to a row of ``item_features`` (the first such row, found
     by :func:`_catalogue_row`) takes that row's latent from the same call,

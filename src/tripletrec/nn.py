@@ -510,6 +510,10 @@ def bce_loss_from_logit(logit, label):
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates (b1, b2) and the epsilon of its denominator.
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 # Elements per Adam pass: the chunk's slices of the four buffers and the two
 # scratch buffers stay in cache.
 ADAM_CHUNK = 32768
@@ -536,14 +540,9 @@ def _adam_chunks(bufs, coeffs, lo: int, hi: int, scratch_a: Array, scratch_b: Ar
         value -= a
 
 
-def adam_step(
-    params,
-    lr: float = 1e-3,
-    betas: tuple[float, float] = (0.9, 0.999),
-    eps: float = 1e-8,
-    step: int = 1,
-) -> None:
-    """One Adam update with bias correction, in place. ``step`` is 1-based.
+def adam_step(params, lr: float = 1e-3, step: int = 1) -> None:
+    """One Adam update with bias correction, in place, with ADAM_BETAS and
+    ADAM_EPS. ``step`` is 1-based.
 
     The parts of one arena are updated as the arena (see :func:`fuse`). Each
     tensor is walked ADAM_CHUNK elements at a time with in-place ufuncs and
@@ -557,8 +556,8 @@ def adam_step(
     """
     if step < 1:
         raise ValueError(f"adam_step: step is 1-based, got {step}")
-    b1, b2 = betas
-    coeffs = (lr, b1, b2, eps, 1.0 - b1 ** step, 1.0 - b2 ** step)
+    b1, b2 = ADAM_BETAS
+    coeffs = (lr, b1, b2, ADAM_EPS, 1.0 - b1 ** step, 1.0 - b2 ** step)
     for p in fuse(params):
         with writing(p) as values:
             bufs = [buf.reshape(-1) for buf in (values, p.grad, p.moment1, p.moment2)]

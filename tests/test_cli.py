@@ -90,6 +90,16 @@ class TestSynth:
         assert "must be a finite number >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_flag_defaults_are_the_synth_config_defaults(self):
+        args = build_parser().parse_args(["synth", "--out", "o"])
+        assert cli._synth_config_from_args(args) == D.SynthConfig()
+
+    def test_each_flag_sets_its_field(self):
+        args = build_parser().parse_args([*SYNTH, "--topic-sharpness", "2.5", "--out", "o"])
+        assert cli._synth_config_from_args(args) == D.SynthConfig(
+            num_tags=2, users_per_tag=2, items_per_tag=3, feature_noise_std=0.1,
+            topic_sharpness=2.5, seed=1, frames=2, frame_dim=3)
+
 
 class TestBuildPairs:
     def test_one_to_n_count(self, tmp_path, corpus_dir, capsys):
@@ -355,6 +365,15 @@ class TestRetrieve:
 
 
 class TestCompare:
+    @pytest.mark.parametrize("flags, want", [([], ("unbalanced", 10)),
+                                             (["--strategy", "one-to-n", "--n", "3"],
+                                              ("one-to-n", 3))])
+    def test_pairing_flags_parse_as_build_pairs_parses_them(self, flags, want):
+        parse = build_parser().parse_args
+        for args in (parse(["build-pairs", "--corpus", "c", "--out", "o", *flags]),
+                     parse(["compare", "--corpus", "c", *flags])):
+            assert (args.strategy, args.n) == want
+
     def test_json_is_single_document(self, corpus_dir, capsys):
         code = run([
             "compare", "--corpus", str(corpus_dir), "--seeds", "1,2,3",

@@ -548,6 +548,34 @@ def isin_rank_latents_for_item(z_q, item_ids, z_items, k, exclude_ids):
     return M._top_k(item_ids, d, k, "item neighbours")
 
 
+def widened_rank_latents_for_item(z_q, item_ids, z_items, k, exclude_ids):
+    """Oracle: the item ranker as it was before exclusion became an id mask.
+    It ranks the first k + len(set(exclude_ids)) candidates, drops the ids in
+    that set by Python membership, and ranks every candidate when a repeated
+    id leaves fewer than k."""
+    item_ids = np.asarray(item_ids)
+    d = ((z_items - z_q) ** 2).sum(axis=1)
+    if not len(exclude_ids):
+        return M._top_k(item_ids, d, k, "item neighbours")
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    drop, n = set(exclude_ids), item_ids.shape[0]
+    m = min(n, k + len(drop))
+    top = M._top_k(item_ids, d, m, "item neighbours") if m else item_ids
+    keep = [i not in drop for i in top.tolist()]
+    if sum(keep) < k and m < n:
+        top = M._top_k(item_ids, d, n, "item neighbours")
+        keep = [i not in drop for i in top.tolist()]
+    top = top[np.array(keep, dtype=bool)][:k]
+    if top.shape[0] < k:
+        warnings.warn(
+            f"requested top-{k} item neighbours but only {top.shape[0]} candidates exist; "
+            f"returning all",
+            stacklevel=2,
+        )
+    return top
+
+
 def ranking_outcome(rank, *args):
     """What one ranking call does: its ids or its error, and its warnings
     with the line they are attributed to (inf - inf in the distances is
@@ -579,10 +607,47 @@ def item_query_cases(draw):
             np.array(z, dtype=np.float64).reshape(n, 1), k, tuple(exclude))
 
 
+# ids where numpy's == and Python's differ: 2**53 + 1 rounds to the float
+# 2**53, and int64's extremes sit next to uint64 and to ints beyond int64
+EDGE_IDS = [2**53, 2**53 + 1, 2**63 - 1, -2**63]
+
+
+@st.composite
+def odd_exclusion_cases(draw):
+    """item_query_cases with ids 0-3 (so True and False are present ids) or
+    from EDGE_IDS, as int64 or float64, and excluded ids of any kind whose !=
+    could differ from set membership: present ids as int, np.int64,
+    np.uint64 and float, ints beyond int64, large uint64 and floats, NaN and
+    bools. Excluded ids repeat or are absent."""
+    n = draw(st.integers(0, 30))
+    ids = draw(st.lists(st.integers(0, 3) | st.sampled_from(EDGE_IDS), min_size=n, max_size=n))
+    values = st.sampled_from([0.0, 1.0, 2.5, np.inf, -np.inf, np.nan]) | st.floats(-1e3, 1e3)
+    z = draw(st.lists(values, min_size=n, max_size=n))
+    present = st.sampled_from(ids) if ids else st.nothing()
+    excluded = st.one_of(
+        present,
+        present.map(np.int64),
+        present.map(lambda i: np.uint64(i % 2**64)),
+        present.map(float),
+        st.integers(-2, 5),
+        st.sampled_from([2**63, 2**64, -2**63 - 1, 2**70, -2**70]),
+        st.integers(2**63, 2**64 - 1).map(np.uint64),
+        st.sampled_from([np.nan, 0.5, 2.0**53, 2.0**63, -2.0**63]),
+        st.booleans(),
+        st.booleans().map(np.bool_),
+    )
+    exclude = draw(st.lists(excluded, max_size=4))
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    return (np.array([draw(values)]), np.array(ids, dtype=dtype),
+            np.array(z, dtype=np.float64).reshape(n, 1), draw(st.integers(0, n + 3)),
+            tuple(exclude))
+
+
 class TestItemQuery:
     """An item query equal to a catalogue row ranks with that row's cached
-    latent; any other query is embedded alone. The exclusion ranks a few
-    candidates and drops the excluded ids, as a catalogue-wide mask would."""
+    latent; any other query is embedded alone. The exclusion, an id mask,
+    gives what a catalogue-wide np.isin mask gives, and what the widened
+    Python set filter gives for excluded ids of any kind."""
 
     N_ITEMS = 12
     K = N_ITEMS - 1  # every candidate, so any reorder shows
@@ -678,6 +743,23 @@ class TestItemQuery:
                 assert (ranking_outcome(M.rank_latents_for_item, *case)
                         == ranking_outcome(isin_rank_latents_for_item, *case))
 
+    @settings(max_examples=500, deadline=None)
+    @given(odd_exclusion_cases())
+    # numpy finds 2**53 + 1 == 2.0**53, Python does not: the id is kept
+    @example((np.array([0.0]), np.array([2**53 + 1, 2**53, 3]), np.array([[0.0], [1.0], [2.0]]),
+              2, (2.0**53,)))
+    # float ids: numpy finds 2.0**53 == 2**53 + 1, Python does not
+    @example((np.array([0.0]), np.array([2.0**53, 3.0]), np.array([[0.0], [1.0]]), 1,
+              (2**53 + 1,)))
+    @example((np.array([0.0]), np.array([1, 0, 1]), np.array([[0.0], [1.0], [2.0]]), 2, (True,)))
+    @example((np.array([0.0]), np.array([2**63 - 1, 2]), np.array([[0.0], [1.0]]), 1,
+              (np.uint64(2**63), 2.0**63)))
+    def test_exclusion_equals_the_widened_set_filter(self, case):
+        for partition_min in (1, M.TOP_K_PARTITION_MIN):
+            with mock.patch.object(M, "TOP_K_PARTITION_MIN", partition_min):
+                assert (ranking_outcome(M.rank_latents_for_item, *case)
+                        == ranking_outcome(widened_rank_latents_for_item, *case))
+
 
 @st.composite
 def item_rows_cases(draw):
@@ -741,10 +823,25 @@ class TestItemRows:
         # the same warnings, attributed to the block ranker's line instead
         assert [w[:2] for w in got_warnings] == [w[:2] for w in want_warnings]
 
+    @staticmethod
+    def ranked_and_sent_back(item_ids, z, rows, k):
+        """The block ranker's result, and the excluded ids of each _top_k call
+        it makes: one per row its block leaves unsettled."""
+        sent_back = []
+        top_k = M._top_k
+
+        def recording(ids, d, k, what, exclude_ids=()):
+            sent_back.append(exclude_ids)
+            return top_k(ids, d, k, what, exclude_ids)
+
+        with mock.patch.object(M, "_top_k", recording):
+            got = M.rank_latent_rows_for_items(item_ids, z, rows, k)
+        return got, sent_back
+
     def test_only_rows_with_a_tie_at_the_cut_off_are_sent_back(self):
         """Blocks of 3 rows over 52 queries: exactly the queries whose
-        (k + 1)-th distance ties go to rank_latents_for_item, and every row,
-        settled in its block or not, ranks as that function does."""
+        (k + 1)-th distance ties go to _top_k, and every row, settled in its
+        block or not, ranks as rank_latents_for_item does."""
         gen = np.random.default_rng(5)
         z = gen.normal(size=(50, 3))
         z[[7, 8]] = z[40]  # three equal latents: a query whose cut-off falls on them ties
@@ -752,17 +849,10 @@ class TestItemRows:
         rows = np.r_[np.arange(50), 40, 7]
         dists = [((z - z[r]) ** 2).sum(axis=1) for r in rows]
         tied = [(item_ids[r],) for r, d in zip(rows, dists) if (d <= np.sort(d)[4]).sum() != 5]
-        sent_back = []
-        rank = M.rank_latents_for_item
-
-        def recording(z_q, ids, z_items, k, exclude_ids):
-            sent_back.append(exclude_ids)
-            return rank(z_q, ids, z_items, k, exclude_ids)
-
-        with mock.patch.object(M, "ITEM_BLOCK", 50 * 3), \
-                mock.patch.object(M, "rank_latents_for_item", recording):
-            got = M.rank_latent_rows_for_items(item_ids, z, rows, 4)
-        want = [rank(z[r], item_ids, z, 4, (item_ids[r],)).tolist() for r in rows]
+        with mock.patch.object(M, "ITEM_BLOCK", 50 * 3):
+            got, sent_back = self.ranked_and_sent_back(item_ids, z, rows, 4)
+        want = [M.rank_latents_for_item(z[r], item_ids, z, 4, (item_ids[r],)).tolist()
+                for r in rows]
         assert got.tolist() == want
         assert sent_back == tied and 0 < len(tied) < len(rows)
 
@@ -770,22 +860,18 @@ class TestItemRows:
     @pytest.mark.parametrize("dim", [8, 9, 17])
     def test_latents_of_8_or_more_dims_are_all_sent_back(self, dim, order):
         """numpy's sum order over 8 or more dims depends on the memory
-        layout, so no such row is settled in a block."""
+        layout, so item_distances sends every such row back to the row
+        expression; with those bits, untied rows settle in their block."""
         gen = np.random.default_rng(dim)
         z = np.asarray(gen.normal(size=(30, dim)), order=order)
         item_ids = np.arange(30)
         rows = np.array([4, 0, 29, 4])
-        sent_back = []
-        rank = M.rank_latents_for_item
-
-        def recording(z_q, ids, z_items, k, exclude_ids):
-            sent_back.append(exclude_ids)
-            return rank(z_q, ids, z_items, k, exclude_ids)
-
-        with mock.patch.object(M, "rank_latents_for_item", recording):
-            got = M.rank_latent_rows_for_items(item_ids, z, rows, 5)
-        assert got.tolist() == [rank(z[r], item_ids, z, 5, (r,)).tolist() for r in rows]
-        assert sent_back == [(r,) for r in rows]
+        npt.assert_array_equal(M.item_distances(z, rows),
+                               np.array([((z - z[r]) ** 2).sum(axis=1) for r in rows]))
+        got, sent_back = self.ranked_and_sent_back(item_ids, z, rows, 5)
+        assert got.tolist() == [M.rank_latents_for_item(z[r], item_ids, z, 5, (r,)).tolist()
+                                for r in rows]
+        assert sent_back == []
 
 
 class TestWeightSharing:
@@ -830,11 +916,12 @@ class TestArena:
         params = m.parameters()
         ref = [[p.value.copy(), np.zeros(p.shape), np.zeros(p.shape)] for p in params]
         gen = np.random.default_rng(14)
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        assert (N.ADAM_BETAS, N.ADAM_EPS) == ((0.9, 0.999), 1e-8)
+        lr, (b1, b2), eps = 0.01, N.ADAM_BETAS, N.ADAM_EPS
         for step in (1, 2, 3):
             for p in params:
                 p.grad[...] = gen.normal(size=p.shape)
-            adam_step(params, lr=lr, betas=(b1, b2), eps=eps, step=step)
+            adam_step(params, lr=lr, step=step)
             for p, (value, m1, m2) in zip(params, ref):
                 g = p.grad
                 m1 *= b1

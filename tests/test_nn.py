@@ -407,13 +407,13 @@ class TestSplit:
         value, g = gen.normal(size=size), gen.normal(size=size)
         m1, m2 = gen.normal(size=size), gen.normal(size=size) ** 2
         p = ParamTensor(value, g, m1, m2)
-        lr, b1, b2, eps = 0.01, 0.9, 0.999, 1e-8
+        lr, (b1, b2), eps = 0.01, N.ADAM_BETAS, N.ADAM_EPS
         m1 = b1 * m1 + (1.0 - b1) * g
         m2 = b2 * m2 + (1.0 - b2) * (g * g)
         value = value - lr * (m1 / (1.0 - b1 ** step)) / (np.sqrt(m2 / (1.0 - b2 ** step)) + eps)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(N, "_pool", pools[workers])
-            adam_step([p], lr=lr, betas=(b1, b2), eps=eps, step=step)
+            adam_step([p], lr=lr, step=step)
             assert p.version == 1
             assert np.array_equal(p.grad, g)
             zero_grads([p])
