@@ -14,10 +14,10 @@ the model's cache (``model.catalogue_latents``), so a full evaluation embeds
 the catalogue at most once; every triplet or query is scored against those
 latents. Item -> item queries are ranked in blocks of rows
 (``model.rank_latent_rows_for_items``), with the same bits as one
-``model.rank_latents_for_item`` call per query: block distances equal that
-call's row expression at every latent width, and a row with a tie at the
-cut-off is ranked by ``model._top_k`` from its own distances, its id
-excluded by an id mask.
+``model.rank_latents_for_item`` call per query: both add each distance's
+terms left to right over the latent dimensions, at every latent width, and
+a row with a tie at the cut-off is ranked by ``model._top_k`` from its own
+distances, its id excluded by an id mask.
 """
 
 from __future__ import annotations
@@ -118,7 +118,8 @@ def item_item_precision_at_k(
 
     The queries are ranked in blocks (``model.rank_latent_rows_for_items``):
     each gets the ids, and any warning, of its own
-    ``model.rank_latents_for_item`` call, and a query with a tie at the k-th
+    ``model.rank_latents_for_item`` call, whose distances its block forms
+    bit for bit at every latent width, and a query with a tie at the k-th
     place is ranked by ``model._top_k`` from the distances its block holds,
     the query's id excluded by an id mask."""
     item_ids = list(item_ids)

@@ -512,8 +512,11 @@ def rank_latents_for_item(
     squared Euclidean distance (the head scores user-item pairs only), ties
     by ascending id; ``exclude_ids`` drops candidates, typically the query.
     One :func:`_top_k` call over every candidate's distance: the exclusion
-    is its id mask, and fewer than k left warns, giving the count left."""
-    d = ((z_items - z_q) ** 2).sum(axis=1)
+    is its id mask, and fewer than k left warns, giving the count left.
+    Each distance adds its L terms left to right, as numpy sums the rows of
+    a column-major array (but a lone row, n = 1, pairwise from 8 terms up),
+    so the latents are read column-major, copied if row-major."""
+    d = ((np.asfortranarray(z_items) - z_q) ** 2).sum(axis=1)
     return _top_k(np.asarray(item_ids), d, k, "item neighbours", exclude_ids)
 
 
@@ -525,21 +528,15 @@ ITEM_BLOCK = 1 << 16
 
 def item_distances(z_items: Array, rows: Array) -> Array:
     """Squared Euclidean distances of the rows ``rows`` of ``z_items`` (n, L)
-    to all n rows, as a (len(rows), n) array whose row i equals ``((z_items -
-    z_items[rows[i]]) ** 2).sum(axis=1)``, the distances of
-    :func:`rank_latents_for_item`, bit for bit at every width L. For 1 <= L <
-    8 they are formed one latent dimension at a time over whole columns,
-    which gives those bits because numpy adds fewer than 8 terms left to
-    right in either memory layout. From 8 terms up numpy's order depends on
-    the layout, so each row is that expression itself."""
+    to all n rows, as a (len(rows), n) array whose row i holds the distances
+    :func:`rank_latents_for_item` forms for ``z_items[rows[i]]``, bit for bit
+    at every width L and in either memory layout, for n >= 2: one latent
+    dimension at a time over whole columns, its L terms added left to right."""
     rows = np.asarray(rows, dtype=np.intp)
-    if not 1 <= z_items.shape[1] < 8:
-        d = np.empty((rows.shape[0], z_items.shape[0]))
-        for i, r in enumerate(rows.tolist()):
-            d[i] = ((z_items - z_items[r]) ** 2).sum(axis=1)
-        return d
     cols, z_q = np.ascontiguousarray(z_items.T), z_items[rows]
     shape = (rows.shape[0], cols.shape[1])
+    if not cols.shape[0]:
+        return np.zeros(shape)
     d, term = np.empty(shape), np.empty(shape)
     for l in range(cols.shape[0]):
         # (q_l - col_l)^2, the same bits as (col_l - q_l)^2: numpy subtracts
@@ -558,8 +555,9 @@ def rank_latent_rows_for_items(item_ids: Array, z_items: Array, rows: Array, k: 
     k, (item_ids[rows[i]],))``: the top-k neighbours of each catalogue row
     in ``rows``, its own id excluded, with the same ids and warnings.
 
-    Queries go in blocks of about ITEM_BLOCK distances (see
-    :func:`item_distances`), and each block is partitioned once at its
+    Queries go in blocks of about ITEM_BLOCK distances, which
+    :func:`item_distances` forms in the one left-to-right order of
+    :func:`rank_latents_for_item`, and each block is partitioned once at its
     (k + 1)-th distance. A row that this cannot settle exactly is ranked by
     :func:`_top_k` from the distances its block holds, its own id excluded:
     one where more than k + 1 candidates lie at or below that distance (a

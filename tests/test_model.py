@@ -290,9 +290,9 @@ def brute_force_user_ranking(model, u, item_ids, item_features, k):
     z_u = M.embed_user(model.user_tower, u)[0]
     w = model.head.weight.value[0]
     bias = model.head.bias.value[0, 0]
+    z_items = M.embed_item(model.item_tower, item_features)
     scored = []
-    for iid, feats in zip(item_ids, item_features):
-        z_i = M.embed_item(model.item_tower, feats.reshape(1, -1))[0]
+    for iid, z_i in zip(item_ids, z_items):
         d = float((w * (z_u - z_i) ** 2).sum() + bias)
         scored.append((d, int(iid)))
     scored.sort()
@@ -786,17 +786,7 @@ def item_rows_cases(draw):
 
 class TestItemRows:
     """The block ranker gives every query row the ids and warnings of its own
-    rank_latents_for_item call, and its distances are the row expression's."""
-
-    @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("dim", range(1, 8))
-    def test_block_distances_equal_the_row_expression(self, dim, order):
-        gen = np.random.default_rng(dim)
-        z = np.asarray(gen.normal(size=(40, dim)) * gen.uniform(0.01, 100.0, size=dim),
-                       order=order)
-        rows = np.array([3, 0, 39, 3, 17])
-        want = np.array([((z - z[r]) ** 2).sum(axis=1) for r in rows])
-        npt.assert_array_equal(M.item_distances(z, rows), want)
+    rank_latents_for_item call, and its distances are that call's."""
 
     @settings(max_examples=500, deadline=None)
     @given(item_rows_cases())
@@ -856,22 +846,44 @@ class TestItemRows:
         assert got.tolist() == want
         assert sent_back == tied and 0 < len(tied) < len(rows)
 
+    @staticmethod
+    def query_distances(z_q, item_ids, z_items):
+        """The distances rank_latents_for_item ranks ``z_q``'s candidates by."""
+        seen = []
+        with mock.patch.object(M, "_top_k", lambda ids, d, *rest: seen.append(d)):
+            M.rank_latents_for_item(z_q, item_ids, z_items, 1, ())
+        return seen[0]
+
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("dim", [8, 9, 17])
-    def test_latents_of_8_or_more_dims_are_all_sent_back(self, dim, order):
-        """numpy's sum order over 8 or more dims depends on the memory
-        layout, so item_distances sends every such row back to the row
-        expression; with those bits, untied rows settle in their block."""
+    @pytest.mark.parametrize("dim", range(18))
+    def test_block_distances_equal_the_row_expression(self, dim, order):
+        """item_distances adds the terms left to right, as
+        rank_latents_for_item does, at every width and in either layout;
+        with those bits, untied rows settle in their block."""
         gen = np.random.default_rng(dim)
-        z = np.asarray(gen.normal(size=(30, dim)), order=order)
-        item_ids = np.arange(30)
-        rows = np.array([4, 0, 29, 4])
-        npt.assert_array_equal(M.item_distances(z, rows),
-                               np.array([((z - z[r]) ** 2).sum(axis=1) for r in rows]))
+        z = np.asarray(gen.normal(size=(40, dim)) * gen.uniform(0.01, 100.0, size=dim),
+                       order=order)
+        item_ids = np.arange(40)
+        rows = np.array([3, 0, 39, 3, 17])
+        want = np.array([self.query_distances(z[r], item_ids, z) for r in rows])
+        npt.assert_array_equal(M.item_distances(z, rows), want)
         got, sent_back = self.ranked_and_sent_back(item_ids, z, rows, 5)
         assert got.tolist() == [M.rank_latents_for_item(z[r], item_ids, z, 5, (r,)).tolist()
                                 for r in rows]
-        assert sent_back == []
+        # with no latent dims every distance is 0, a tie at every cut-off
+        assert sent_back == ([] if dim else [(r,) for r in rows])
+
+    def test_wide_latents_rank_alike_in_either_layout(self):
+        """Item 0's squared terms are 1, 0 and six of 2**-54: left to right
+        they sum to 1, as item 1's do, but numpy's pairwise order over a
+        row-major row gives 1 + 2**-52: summed that way, a row-major array
+        would rank item 1 first and a column-major copy item 0."""
+        z = np.zeros((3, 8))
+        z[0] = [1.0, 0.0, *[2.0**-27] * 6]
+        z[1, 0] = 1.0
+        got = [M.rank_latents_for_item(z[2], np.arange(3), np.asarray(z, order=order), 2, (2,))
+               for order in "CF"]
+        assert [g.tolist() for g in got] == [[0, 1], [0, 1]]
 
 
 class TestWeightSharing:
