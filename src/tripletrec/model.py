@@ -465,13 +465,17 @@ def _top_k(item_ids: Array, distances: Array, k: int, what: str, exclude_ids=())
     each candidate the mask drops is checked against the set of excluded
     ids, as ``in`` would.
 
-    For k below the count left and at least TOP_K_PARTITION_MIN of them, a
-    partition finds the k-th distance and only the candidates at or below
-    it, every tie at it included, are sorted; a NaN k-th distance (fewer
-    than k numbers) falls back to the full sort. Fewer than k left warns,
-    giving the count left."""
+    For k below the count left and at least TOP_K_PARTITION_MIN of them, one
+    partition of every distance finds the (k + m)-th, m the count dropped:
+    at least k of the k + m smallest are kept, so it is at or above the
+    k-th kept distance, and only the kept candidates at or below it, every
+    tie at the k-th included, are sorted. A NaN there (fewer than k + m
+    numbers) falls back to sorting every kept candidate. Fewer than k left
+    warns, giving the count left."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    keep = None
+    n = item_ids.shape[0]
     if len(exclude_ids):
         drop = set(exclude_ids)
         keep = functools.reduce(operator.and_, [item_ids != e for e in drop])
@@ -479,8 +483,7 @@ def _top_k(item_ids: Array, distances: Array, k: int, what: str, exclude_ids=())
         if not exact:
             dropped = np.flatnonzero(~keep)
             keep[dropped] = [i not in drop for i in item_ids[dropped].tolist()]
-        item_ids, distances = item_ids[keep], distances[keep]
-    n = item_ids.shape[0]
+        n = int(np.count_nonzero(keep))
     if k > n:
         warnings.warn(
             f"requested top-{k} {what} but only {n} candidates exist; returning all",
@@ -488,10 +491,13 @@ def _top_k(item_ids: Array, distances: Array, k: int, what: str, exclude_ids=())
         )
         k = n
     if k < n and n >= TOP_K_PARTITION_MIN:
-        kth = np.partition(distances, k - 1)[k - 1]
+        cut = k + item_ids.shape[0] - n - 1
+        kth = np.partition(distances, cut)[cut]
         if not np.isnan(kth):
             near = distances <= kth
-            item_ids, distances = item_ids[near], distances[near]
+            keep = near if keep is None else near & keep
+    if keep is not None:
+        item_ids, distances = item_ids[keep], distances[keep]
     order = np.lexsort((item_ids, distances))  # distance ascending, then id
     return item_ids[order[:k]]
 

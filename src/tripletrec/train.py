@@ -11,7 +11,7 @@ layer's products and the Adam pass into blocks fixed by the arrays' shapes,
 whatever its size. Each epoch shuffles
 the examples (seeded), walks all full batches plus the final partial batch,
 takes one Adam step per batch and zeroes gradients afterwards. One JSON line
-per epoch goes to stdout: ``{"epoch": k, "mean_loss": x, "eval_acc": y?}``.
+per epoch goes to stdout: ``{"epoch": k, "mean_loss": x}``.
 """
 
 from __future__ import annotations
@@ -25,12 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import evaluate as E
 from . import model as M
 from .data import DataError, FeatureStore, gather_triplet_rows, pairs_from_triplets
-from .nn import NonFiniteLossError, RngState, adam_step, check_dropout_p, writing, zero_grads
+from .nn import NonFiniteLossError, RngState, adam_step, writing, zero_grads
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 _MAGIC = "triplet-recsys-checkpoint"
 
 
@@ -40,7 +39,8 @@ class TrainConfig:
 
     ``dropout_p`` is the dropout of both towers: construction writes it into
     copies of ``user_tower`` and ``item_tower``, so their ``dropout_p`` always
-    equals it, whatever the specs passed in declared.
+    equals it, whatever the specs passed in declared (and each copy's
+    construction checks it).
     """
 
     epochs: int = 200
@@ -53,7 +53,6 @@ class TrainConfig:
     item_tower: M.TowerSpec = field(
         default_factory=lambda: M.TowerSpec(input_dim=7560, hidden_dims=[1024, 256, 64, 16])
     )
-    eval_every: int = 0  # epochs between held-out evaluations; 0 disables
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -66,19 +65,18 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model_kind not in ("triplet", "twonet"):
             raise ValueError(f"unknown model kind: {self.model_kind!r}")
-        check_dropout_p(self.dropout_p)
         self.user_tower = dataclasses.replace(self.user_tower, dropout_p=self.dropout_p)
         self.item_tower = dataclasses.replace(self.item_tower, dropout_p=self.dropout_p)
 
 
 @dataclass
 class Checkpoint:
-    """Trained parameters plus everything needed to reproduce them."""
+    """Trained parameters plus everything needed to reproduce them. The run's
+    epoch count is ``config.epochs``, one ``loss_history`` entry each."""
 
     config: TrainConfig
     model: M.TripletModelParams
     rng: RngState
-    epoch: int
     loss_history: list[float]
 
 
@@ -91,7 +89,6 @@ def train(
     store: FeatureStore,
     triplets: np.recarray,
     config: TrainConfig,
-    eval_triplets: np.recarray | None = None,
     log_stream=None,
 ) -> Checkpoint:
     """Train per the config and return the final checkpoint.
@@ -104,8 +101,8 @@ def train(
     stacked, and its first linear layer copies and multiplies only the
     batch's distinct items (see :func:`model.tower_forward`).
 
-    ``eval_triplets`` plus ``config.eval_every > 0`` adds a held-out pairwise
-    accuracy to the per-epoch JSON line every eval_every epochs.
+    Each epoch writes one JSON line ``{"epoch": k, "mean_loss": x}`` to
+    ``log_stream`` (stdout when None).
 
     A non-finite loss raises ``NonFiniteLossError`` naming the batch and the
     JSON line of the last finished epoch, which it also holds as the dict
@@ -161,24 +158,10 @@ def train(
         mean_loss = total / n_examples
         loss_history.append(mean_loss)
 
-        line = {"epoch": epoch, "mean_loss": mean_loss}
-        if (
-            eval_triplets is not None
-            and len(eval_triplets) > 0
-            and config.eval_every > 0
-            and (epoch % config.eval_every == 0 or epoch == config.epochs)
-        ):
-            line["eval_acc"] = E.pairwise_accuracy(model, eval_triplets, store)
-        print(json.dumps(line), file=log)
-        last_line = line
+        last_line = {"epoch": epoch, "mean_loss": mean_loss}
+        print(json.dumps(last_line), file=log)
 
-    return Checkpoint(
-        config=config,
-        model=model,
-        rng=rng,
-        epoch=config.epochs,
-        loss_history=loss_history,
-    )
+    return Checkpoint(config=config, model=model, rng=rng, loss_history=loss_history)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +171,7 @@ def train(
 
 
 _HEADER_FORM = {  # the keys of a header and the types of their values
-    "magic": _MAGIC, "format_version": CHECKPOINT_VERSION, "epoch": 0, "loss_history": [0.0],
+    "magic": _MAGIC, "format_version": CHECKPOINT_VERSION, "loss_history": [0.0],
     "config": dataclasses.asdict(TrainConfig()), "rng": {"seed": 0, "counter": 0},
     "tensors": [{"name": "", "shape": [0]}],
 }
@@ -216,7 +199,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "format_version": CHECKPOINT_VERSION,
         "config": dataclasses.asdict(ckpt.config),
         "rng": {"seed": ckpt.rng.seed, "counter": ckpt.rng.counter},
-        "epoch": ckpt.epoch,
         "loss_history": ckpt.loss_history,
         "tensors": [{"name": n, "shape": list(p.value.shape)} for n, p in tensors],
     }
@@ -278,4 +260,4 @@ def load_checkpoint(path) -> Checkpoint:
                 raise DataError(f"{path}: invalid checkpoint: the file shrank while it was read")
             if sys.byteorder != "little":
                 value.byteswap(inplace=True)
-    return Checkpoint(config, model, rng, header["epoch"], header["loss_history"])
+    return Checkpoint(config, model, rng, header["loss_history"])

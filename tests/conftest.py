@@ -55,6 +55,13 @@ def _negative_rng_seed(header, sections):
     return sections
 
 
+def _format_version_1(header, sections):
+    # a format 1 header: it also held the epoch count and config.eval_every
+    header.update(format_version=1, epoch=len(header["loss_history"]))
+    header["config"]["eval_every"] = 0
+    return sections
+
+
 def _omitted_tensor(header, sections):
     return [s for s in sections if s[0]["name"] != "user.w0"]
 
@@ -77,6 +84,7 @@ DEFECTS = {
     "missing-rng": _missing_rng,
     "tower-dropout-differs": _tower_dropout_differs,
     "negative-rng-seed": _negative_rng_seed,
+    "format-version-1": _format_version_1,
     "omitted-tensor": _omitted_tensor,
     "duplicated-tensor": _duplicated_tensor,
     "swapped-tensors": _swapped_tensors,

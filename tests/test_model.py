@@ -450,7 +450,7 @@ class TestCatalogueCache:
         config = self.config()
         model = build_model(config, RngState(seed))
         path = tmp_path_factory.mktemp("cache") / "m.ckpt"
-        save_checkpoint(Checkpoint(config, model, RngState(seed), 0, []), path)
+        save_checkpoint(Checkpoint(config, model, RngState(seed), []), path)
         item_ids = np.arange(100, 100 + self.N_ITEMS)
         feats = gen.normal(size=(self.N_ITEMS, 5))
         u = gen.normal(size=3)

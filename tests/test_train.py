@@ -113,17 +113,6 @@ class TestTrainLoop:
                      log_stream=io.StringIO())
         assert len(ckpt.loss_history) == 2
 
-    @pytest.mark.parametrize("rows, evaluated", [(None, False), (slice(0, 0), False),
-                                                 (slice(0, 1), True), (slice(None), True)],
-                             ids=["none", "empty", "one", "all"])
-    def test_eval_triplets_none_empty_or_some(self, corpus, rows, evaluated):
-        store, triplets = corpus
-        log = io.StringIO()
-        train(store, triplets, tiny_config(eval_every=1),
-              eval_triplets=None if rows is None else triplets[rows], log_stream=log)
-        lines = [json.loads(line) for line in log.getvalue().splitlines()]
-        assert all(("eval_acc" in line) == evaluated for line in lines)
-
     def test_empty_triplets_rejected(self, corpus):
         store, triplets = corpus
         for empty in ([], triplets[:0], None):
@@ -182,16 +171,12 @@ class TestTrainLoop:
 
     def test_epoch_json_lines(self, corpus):
         store, triplets = corpus
-        held_out = triplets[:10]
         log = io.StringIO()
-        config = tiny_config(epochs=3, eval_every=2)
-        train(store, triplets, config, eval_triplets=held_out, log_stream=log)
+        ckpt = train(store, triplets, tiny_config(epochs=3), log_stream=log)
         lines = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert [entry.keys() for entry in lines] == [{"epoch", "mean_loss"}] * 3
         assert [entry["epoch"] for entry in lines] == [1, 2, 3]
-        assert all("mean_loss" in entry for entry in lines)
-        assert "eval_acc" not in lines[0]
-        assert "eval_acc" in lines[1]  # epoch 2: eval_every
-        assert "eval_acc" in lines[2]  # final epoch always evaluated
+        assert [entry["mean_loss"] for entry in lines] == ckpt.loss_history
 
     def test_twonet_kind_trains(self, corpus):
         store, triplets = corpus
@@ -264,7 +249,7 @@ class TestCheckpoint:
         # held the file's bytes would peak at 5x
         config = tiny_config(item_tower=M.TowerSpec(2000, [256, 8], 3))
         model = build_model(config, RngState(0))
-        save_checkpoint(Checkpoint(config, model, RngState(0), 1, [0.5]), tmp_path / "m.ckpt")
+        save_checkpoint(Checkpoint(config, model, RngState(0), [0.5]), tmp_path / "m.ckpt")
         tracemalloc.start()
         try:
             load_checkpoint(tmp_path / "m.ckpt")
@@ -289,7 +274,6 @@ class TestCheckpoint:
         ckpt = train(store, triplets, tiny_config(epochs=2, seed=3), log_stream=io.StringIO())
         save_checkpoint(ckpt, tmp_path / "m.ckpt")
         loaded = load_checkpoint(tmp_path / "m.ckpt")
-        assert loaded.epoch == ckpt.epoch
         assert loaded.loss_history == ckpt.loss_history
         assert loaded.rng == ckpt.rng
         assert loaded.config == ckpt.config
@@ -333,10 +317,21 @@ class TestCheckpoint:
         blob = path.read_bytes()
         nl = blob.find(b"\n")
         header = json.loads(blob[:nl])
-        header["format_version"] = 99
-        path.write_bytes(json.dumps(header, sort_keys=True).encode() + blob[nl:])
-        with pytest.raises(DataError, match="version"):
-            load_checkpoint(path)
+        for version in (1, 99):
+            header["format_version"] = version
+            path.write_bytes(json.dumps(header, sort_keys=True).encode() + blob[nl:])
+            with pytest.raises(DataError, match=re.escape(
+                    f"unsupported checkpoint version {version} (expected 2)")):
+                load_checkpoint(path)
+
+    def test_header_states_no_epoch_count_but_the_config_and_loss_history(self, saved_checkpoint,
+                                                                       checkpoint_parts):
+        header, _ = checkpoint_parts[0](saved_checkpoint.read_bytes())
+        assert header["format_version"] == 2
+        assert header.keys() == {"magic", "format_version", "config", "rng", "loss_history",
+                                 "tensors"}
+        assert "eval_every" not in header["config"]
+        assert len(header["loss_history"]) == header["config"]["epochs"]
 
     def test_defective_checkpoint_raises_data_error(self, saved_checkpoint, tmp_path,
                                                     break_checkpoint):
