@@ -51,7 +51,11 @@ _seed = _int_at_least(0, "seed")
 
 
 def _seeds(text: str) -> list[int]:
-    return [_seed(v) for v in _ints(text)]
+    seeds = [_seed(v) for v in _ints(text)]
+    if len(seeds) < E.MIN_SEEDS:
+        raise argparse.ArgumentTypeError(
+            f"need at least {E.MIN_SEEDS} seeds for a comparison, got {len(seeds)}")
+    return seeds
 
 
 def _add_model_flags(p: argparse.ArgumentParser, defaults: TrainConfig) -> None:

@@ -17,6 +17,9 @@ four int64 fields, ``user_id``, ``item_i_id``, ``item_j_id`` and ``label``:
 reads ``t.user_id`` and so on. Functions that take triplets map whole id
 columns to store rows with ``FeatureStore.user_rows`` and ``item_rows``.
 
+``generate_synthetic`` draws, from one generator seeded by the config, every
+tag's prototype, then every item's noise, then every user's topic weights.
+
 ``build_triplets`` takes each negative as one bounded draw of an index into
 its pool, from one generator seeded by the caller: one ``integers`` call
 draws them all for ``unbalanced``, ``one_to_n(1)`` and ``balanced``, and
@@ -395,44 +398,28 @@ def load_triplets(path) -> np.recarray:
 
 
 def generate_synthetic(config: SynthConfig) -> FeatureStore:
-    """Seeded synthetic corpus. Per tag: a Gaussian feature prototype in the
-    (frames x frame_dim) layout, items = prototype + noise, flattened
-    frame-major; users get a topic vector whose entry for their own tag
-    always dominates, with concentration growing with ``topic_sharpness``."""
+    """Seeded synthetic corpus, items and users tag by tag, each id its row.
+    Three draws from one generator, in this order: a standard normal
+    prototype per tag in the (frames x frame_dim) layout; every item's noise
+    (std ``feature_noise_std``), added to its tag's prototype and flattened
+    frame-major; every user's uniform topic weights, its own tag's raised by
+    ``1 + topic_sharpness`` so that it dominates, then divided by the row sum."""
     cfg = config
     gen = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-    prototypes = gen.normal(size=(cfg.num_tags, cfg.frames, cfg.frame_dim))
-
-    feat_dim = cfg.frames * cfg.frame_dim
-    n_items = cfg.num_tags * cfg.items_per_tag
-    item_features = np.empty((n_items, feat_dim))
-    item_tags = np.empty(n_items, dtype=np.int64)
-    for t in range(cfg.num_tags):
-        noise = gen.normal(scale=cfg.feature_noise_std,
-                           size=(cfg.items_per_tag, cfg.frames, cfg.frame_dim))
-        block = prototypes[t] + noise
-        sl = slice(t * cfg.items_per_tag, (t + 1) * cfg.items_per_tag)
-        item_features[sl] = block.reshape(cfg.items_per_tag, feat_dim)
-        item_tags[sl] = t
-
-    n_users = cfg.num_tags * cfg.users_per_tag
-    user_topics = np.empty((n_users, cfg.num_tags))
-    user_tags = np.empty(n_users, dtype=np.int64)
-    for t in range(cfg.num_tags):
-        raw = gen.uniform(size=(cfg.users_per_tag, cfg.num_tags))
-        raw[:, t] += 1.0 + cfg.topic_sharpness  # own tag strictly dominates
-        sl = slice(t * cfg.users_per_tag, (t + 1) * cfg.users_per_tag)
-        user_topics[sl] = raw / raw.sum(axis=1, keepdims=True)
-        user_tags[sl] = t
-
-    return FeatureStore(
-        user_ids=np.arange(n_users, dtype=np.int64),
-        user_topics=user_topics,
-        user_tags=user_tags,
-        item_ids=np.arange(n_items, dtype=np.int64),
-        item_features=item_features,
-        item_tags=item_tags,
-    )
+    prototypes = gen.normal(size=(cfg.num_tags, 1, cfg.frames, cfg.frame_dim))
+    features = gen.normal(scale=cfg.feature_noise_std,
+                          size=(cfg.num_tags, cfg.items_per_tag, cfg.frames, cfg.frame_dim))
+    features += prototypes
+    topics = (gen.uniform(size=(cfg.num_tags, cfg.users_per_tag, cfg.num_tags))
+              + (1.0 + cfg.topic_sharpness) * np.eye(cfg.num_tags)[:, None])
+    topics /= topics.sum(axis=2, keepdims=True)
+    topics = topics.reshape(-1, cfg.num_tags)
+    features = features.reshape(cfg.num_tags * cfg.items_per_tag, -1)
+    tags = np.arange(cfg.num_tags, dtype=np.int64)
+    return FeatureStore(np.arange(len(topics), dtype=np.int64), topics,
+                        np.repeat(tags, cfg.users_per_tag),
+                        np.arange(len(features), dtype=np.int64), features,
+                        np.repeat(tags, cfg.items_per_tag))
 
 
 # ---------------------------------------------------------------------------
@@ -544,9 +531,7 @@ def gather_triplet_rows(store: FeatureStore, triplets: np.recarray):
             store.item_rows(triplets.item_j_id), triplets.label.astype(np.float64))
 
 
-def pairs_from_triplets(
-    triplets: np.recarray, store: FeatureStore
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def pairs_from_triplets(triplets: np.recarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flatten triplets into (user, item, match-label) examples for the
     two-branch baseline: each triplet yields its matching item with label 1
     and its non-matching item with label 0 — the same information the

@@ -226,6 +226,9 @@ class MethodComparison:
         return "\n".join(lines)
 
 
+MIN_SEEDS = 3  # the fewest seeds compare_methods accepts
+
+
 def compare_methods(
     store: FeatureStore,
     config_a: T.TrainConfig,
@@ -237,8 +240,8 @@ def compare_methods(
 ) -> MethodComparison:
     """Train both configurations per seed on identical triplet data, a fifth
     of it held out, and report per-seed and aggregate metrics."""
-    if len(seeds) < 3:
-        raise ValueError("need at least 3 seeds for a comparison")
+    if len(seeds) < MIN_SEEDS:
+        raise ValueError(f"need at least {MIN_SEEDS} seeds for a comparison")
     strategy = strategy or PairingStrategy.unbalanced()
     name_a, name_b = config_a.model_kind, config_b.model_kind
     if name_a == name_b:

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import DataError
 from .nn import (
     Array,
     NonFiniteLossError,
@@ -234,10 +235,13 @@ def tower_forward(
     In training, branch b's dropout masks come from the generators a
     separate pass over that branch alone would draw, branch after branch, so
     each branch's output equals that pass's bit for bit.
+
+    An ``x`` whose width is not the tower's input width raises DataError
+    naming both, before any layer runs.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != tower.spec.input_dim:
-        raise ValueError(f"tower expects input dim {tower.spec.input_dim}, got {x.shape[1]}")
+        raise DataError(f"tower expects input dim {tower.spec.input_dim}, got {x.shape[1]}")
     inverse, branches = None, 1
     if rows is not None:
         distinct, inverse = np.unique(np.concatenate(rows), return_inverse=True)
@@ -264,7 +268,7 @@ def tower_forward(
     return z, (hidden_caches, final_cache, inverse)
 
 
-def tower_backward(tower: TowerParams, d_z: Array, caches) -> None:
+def tower_backward(d_z: Array, caches) -> None:
     """Backpropagate ``d_z``, the loss gradient at the tower's output, adding
     every layer's parameter gradients to its tensors. Nothing reads the
     gradient at the tower's input, so the first linear layer adds only its
@@ -394,8 +398,8 @@ def _pair_loss_and_grads(model, u, branches, signs, labels, training, rng, items
     _check_finite_losses(losses, what)
     d_o = (sigmoid_stable(o) - labels) / o.shape[0]
     d_zu, d_z = zip(*(distance_backward(model.head, s * d_o, cd) for s, cd in zip(signs, cds)))
-    tower_backward(model.user_tower, sum(d_zu[1:], d_zu[0]), cache_u)
-    tower_backward(model.item_tower, np.concatenate(d_z), cache_z)
+    tower_backward(sum(d_zu[1:], d_zu[0]), cache_u)
+    tower_backward(np.concatenate(d_z), cache_z)
     return float(losses.mean())
 
 
@@ -605,19 +609,18 @@ def catalogue_latents(model: TripletModelParams, item_features: Array) -> Array:
     latents of every catalogue item, a catalogue-row query's included (see
     :func:`rank_items_for_item`).
 
-    The cache holds one entry, keyed by the model's arena, the arena's
-    ``version`` (which every parameter write moves, see :func:`nn.writing`)
-    and ``item_features``, held by weakref. A fill makes ``item_features``
+    The cache holds one entry, keyed by the version of the model's arena
+    (which every parameter write moves, see :func:`nn.writing`) and by
+    ``item_features``, held by weakref. A fill makes ``item_features``
     and every array on its ``.base`` chain read-only, so the catalogue cannot
     change under its latents; it caches only when that chain ends in an
     array that owns its memory, and otherwise embeds on every call. The
     cached latents are read-only too. A view of that memory made before the
     fill stays writable, and a write through it goes unseen.
     """
-    arena, entry = model.arena, model.catalogue
-    if (entry is not None and entry[0] is arena and entry[1] == arena.version
-            and entry[2]() is item_features):
-        return entry[3]
+    version, entry = model.arena.version, model.catalogue
+    if entry is not None and entry[0] == version and entry[1]() is item_features:
+        return entry[2]
     latents = embed_item(model.item_tower, item_features)
     if isinstance(item_features, np.ndarray):
         chain = [item_features]
@@ -626,7 +629,7 @@ def catalogue_latents(model: TripletModelParams, item_features: Array) -> Array:
         if chain[-1].flags.owndata:
             for a in (*chain, latents):
                 a.flags.writeable = False
-            model.catalogue = (arena, arena.version, weakref.ref(item_features), latents)
+            model.catalogue = (version, weakref.ref(item_features), latents)
     return latents
 
 

@@ -120,7 +120,7 @@ def train(
     user_rows, *branch_rows, labels = gather_triplet_rows(store, triplets)
     loss_and_grads = M.triplet_loss_and_grads
     if config.model_kind == "twonet":
-        pair_uids, pair_iids, labels = pairs_from_triplets(triplets, store)
+        pair_uids, pair_iids, labels = pairs_from_triplets(triplets)
         user_rows, branch_rows = store.user_rows(pair_uids), [store.item_rows(pair_iids)]
         loss_and_grads = M.twonet_loss_and_grads
     n_examples = len(labels)

@@ -52,6 +52,16 @@ def ckpt_file(tmp_path, corpus_dir, pairs_file):
     return out
 
 
+def misfit_corpus(tmp_path, flag, value):
+    """A corpus like ``corpus_dir``'s but for one synth flag, so that a
+    checkpoint trained on that one does not fit it."""
+    out = tmp_path / f"misfit{flag}"
+    args = list(SYNTH)
+    args[args.index(flag) + 1] = value
+    assert run(args + ["--out", str(out)]) == 0
+    return out
+
+
 def rewrite_cell(path, line, col, text):
     """Gives one cell of a CSV file new text; a lone surrogate in the text
     becomes the raw byte it escapes, so the file need not be UTF-8."""
@@ -290,6 +300,14 @@ class TestEval:
         assert code == 2
         assert "at least 2 catalogue items, got 1" in capsys.readouterr().err
 
+    def test_corpus_wider_than_the_checkpoint_exits_2(self, tmp_path, ckpt_file, capsys):
+        corpus = misfit_corpus(tmp_path, "--frame-dim", "5")
+        capsys.readouterr()
+        code = run(["eval", "--ckpt", str(ckpt_file), "--corpus", str(corpus), "--k", "3"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "data error: tower expects input dim 6, got 10" in err
+
     def test_k_below_one_fails_before_reading_any_file(self, tmp_path, capsys):
         code = run(["eval", "--ckpt", str(tmp_path / "missing.ckpt"),
                     "--corpus", str(tmp_path / "missing"), "--k", "0"])
@@ -357,6 +375,19 @@ class TestRetrieve:
         assert code == 1
 
 
+    @pytest.mark.parametrize("query, flag, value, widths", [
+        (["--user", "0"], "--tags", "3", (2, 3)),
+        (["--item", "2"], "--frame-dim", "5", (6, 10)),
+    ], ids=["user", "item"])
+    def test_corpus_the_checkpoint_does_not_fit_exits_2(self, tmp_path, ckpt_file, capsys,
+                                                         query, flag, value, widths):
+        corpus = misfit_corpus(tmp_path, flag, value)
+        capsys.readouterr()
+        code = run(["retrieve", "--ckpt", str(ckpt_file), "--corpus", str(corpus), *query])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert "data error: tower expects input dim {}, got {}".format(*widths) in err
+
     def test_k_below_one_fails_before_reading_any_file(self, tmp_path, capsys):
         code = run(["retrieve", "--ckpt", str(tmp_path / "missing.ckpt"),
                     "--corpus", str(tmp_path / "missing"), "--user", "0", "--k", "-2"])
@@ -389,6 +420,10 @@ class TestCompare:
     def test_negative_seed_fails_before_reading_the_corpus(self, tmp_path, capsys):
         assert run(["compare", "--corpus", str(tmp_path / "missing"), "--seeds=2,-1,3"]) == 1
         assert "seed must be >= 0, got -1" in capsys.readouterr().err
+
+    def test_fewer_than_three_seeds_fail_before_reading_the_corpus(self, tmp_path, capsys):
+        assert run(["compare", "--corpus", str(tmp_path / "missing"), "--seeds", "1,2"]) == 1
+        assert "need at least 3 seeds for a comparison, got 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--k", "--n"])
     def test_count_below_one_fails_before_reading_the_corpus(self, flag, tmp_path, capsys):

@@ -425,6 +425,62 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match="must be a finite number >= 0"):
             SynthConfig(**{field: value})
 
+    PINNED = {  # sha256 of the six columns, little-endian, in FeatureStore field order
+        "default": (SynthConfig(),
+                    "c0eb00204e35561df695f68cb06b365d4a4e7a756e9ef7f7a0f9ed9855b8a5af"),
+        "small": (SynthConfig(num_tags=3, users_per_tag=4, items_per_tag=6,
+                              feature_noise_std=0.2, topic_sharpness=0.5, seed=3,
+                              frames=3, frame_dim=4),
+                  "cdebc7f7239af4a7e656a561da922244053bd5e4ad2924ffa167f46df3774d81"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_corpus_bytes_are_pinned(self, name):
+        """The corpus a config gives, pinned: a refactor that changes the
+        order, number or kind of RNG draws changes every model trained on it."""
+        config, digest = self.PINNED[name]
+        store = generate_synthetic(config)
+        columns = (store.user_ids, store.user_topics, store.user_tags,
+                   store.item_ids, store.item_features, store.item_tags)
+        assert [c.dtype for c in columns] == [np.int64, np.float64, np.int64] * 2
+        got = b"".join(c.astype(c.dtype.newbyteorder("<")).tobytes() for c in columns)
+        assert hashlib.sha256(got).hexdigest() == digest
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(SynthConfig, num_tags=st.integers(1, 6), users_per_tag=st.integers(1, 5),
+                     items_per_tag=st.integers(1, 5),
+                     feature_noise_std=st.sampled_from([0.0, 1e-300, 0.1, 2.5]),
+                     topic_sharpness=st.sampled_from([0.0, 0.5, 4.0, 1e300]),
+                     seed=st.integers(0, 2**40), frames=st.integers(1, 4),
+                     frame_dim=st.integers(1, 6)))
+    def test_draws_equal_the_per_tag_loops(self, config):
+        want, got = per_tag_synthetic(config), generate_synthetic(config)
+        for name in ("user_ids", "user_topics", "user_tags", "item_ids", "item_features",
+                     "item_tags"):
+            a, b = getattr(want, name), getattr(got, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def per_tag_synthetic(cfg):
+    """Reference: the synthetic corpus drawn tag by tag, prototypes first,
+    then one noise draw per tag, then one topic draw per tag."""
+    gen = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    prototypes = gen.normal(size=(cfg.num_tags, cfg.frames, cfg.frame_dim))
+    features, topics = [], []
+    for t in range(cfg.num_tags):
+        noise = gen.normal(scale=cfg.feature_noise_std,
+                           size=(cfg.items_per_tag, cfg.frames, cfg.frame_dim))
+        features.append((prototypes[t] + noise).reshape(cfg.items_per_tag, -1))
+    for t in range(cfg.num_tags):
+        raw = gen.uniform(size=(cfg.users_per_tag, cfg.num_tags))
+        raw[:, t] += 1.0 + cfg.topic_sharpness
+        topics.append(raw / raw.sum(axis=1, keepdims=True))
+    tags = np.arange(cfg.num_tags, dtype=np.int64)
+    return FeatureStore(np.arange(cfg.num_tags * cfg.users_per_tag, dtype=np.int64),
+                        np.concatenate(topics), np.repeat(tags, cfg.users_per_tag),
+                        np.arange(cfg.num_tags * cfg.items_per_tag, dtype=np.int64),
+                        np.concatenate(features), np.repeat(tags, cfg.items_per_tag))
+
 
 def label_invariant_holds(triplets, store):
     """Exhaustive scan: item_i matches the user's tag iff label is 0."""
@@ -733,7 +789,7 @@ class TestPairsFromTriplets:
     def test_each_triplet_yields_pos_and_neg_pair(self):
         store = small_store()
         triplets = build_triplets(store, PairingStrategy.unbalanced(), seed=19)
-        uids, iids, labels = pairs_from_triplets(triplets, store)
+        uids, iids, labels = pairs_from_triplets(triplets)
         assert len(uids) == 2 * len(triplets)
         assert labels.sum() == len(triplets)
         for uid, iid, lab in zip(uids, iids, labels):
@@ -747,7 +803,7 @@ class TestPairsFromTriplets:
         for t in triplets:
             pos, neg = (t.item_i_id, t.item_j_id) if t.label == 0 else (t.item_j_id, t.item_i_id)
             expected += [(t.user_id, pos, 1.0), (t.user_id, neg, 0.0)]
-        uids, iids, labels = pairs_from_triplets(triplets, store)
+        uids, iids, labels = pairs_from_triplets(triplets)
         assert (uids.dtype, iids.dtype, labels.dtype) == (np.int64, np.int64, np.float64)
         assert list(zip(uids, iids, labels)) == expected
 

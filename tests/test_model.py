@@ -949,7 +949,7 @@ class TestArena:
             assert np.array_equal(p.moment2.view(np.int64), m2.view(np.int64))
 
 
-def reference_tower_backward(tower, d_z, caches):
+def reference_tower_backward(d_z, caches):
     """Every layer's full linear backward over the batch's rows, the first
     layer's input gradient included, as an independent statement of the
     tower's backward pass."""
@@ -1001,7 +1001,7 @@ class TestTowerBackward:
         real = M.linear_backward
         monkeypatch.setattr(M, "linear_backward", lambda d, c: calls.append(c) or real(d, c))
         z, caches = M.tower_forward(m.item_tower, np.ones((2, 5)))
-        assert M.tower_backward(m.item_tower, np.ones_like(z), caches) is None
+        assert M.tower_backward(np.ones_like(z), caches) is None
         # four linear layers, the first of which skips linear_backward
         assert len(calls) == len(m.item_tower.weights) - 1 == 3
         assert all(c[1] is not m.item_tower.weights[0] for c in calls)
@@ -1019,9 +1019,9 @@ def per_branch_triplet_loss(m, u, xi, xj, labels, rng):
     d_o = (N.sigmoid_stable(o) - labels) / o.shape[0]
     d_zu_i, d_zi = M.distance_backward(m.head, d_o, cd_i)
     d_zu_j, d_zj = M.distance_backward(m.head, -d_o, cd_j)
-    M.tower_backward(m.user_tower, d_zu_i + d_zu_j, cache_u)
-    M.tower_backward(m.item_tower, d_zi, cache_i)
-    M.tower_backward(m.item_tower, d_zj, cache_j)
+    M.tower_backward(d_zu_i + d_zu_j, cache_u)
+    M.tower_backward(d_zi, cache_i)
+    M.tower_backward(d_zj, cache_j)
     return float(N.bce_loss_from_logit(o, labels).mean())
 
 
@@ -1030,8 +1030,8 @@ def per_branch_twonet_loss(m, u, x, labels, rng):
     z_i, cache_i = M.tower_forward(m.item_tower, x, True, rng)
     d, cd = M.distance_forward(m.head, z_u, z_i)
     d_zu, d_zi = M.distance_backward(m.head, -(N.sigmoid_stable(-d) - labels) / d.shape[0], cd)
-    M.tower_backward(m.user_tower, d_zu, cache_u)
-    M.tower_backward(m.item_tower, d_zi, cache_i)
+    M.tower_backward(d_zu, cache_u)
+    M.tower_backward(d_zi, cache_i)
     return float(N.bce_loss_from_logit(-d, labels).mean())
 
 
