@@ -52,9 +52,10 @@ _seed = _int_at_least(0, "seed")
 
 def _seeds(text: str) -> list[int]:
     seeds = [_seed(v) for v in _ints(text)]
-    if len(seeds) < E.MIN_SEEDS:
-        raise argparse.ArgumentTypeError(
-            f"need at least {E.MIN_SEEDS} seeds for a comparison, got {len(seeds)}")
+    try:
+        E.check_seeds(seeds)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
     return seeds
 
 

@@ -135,12 +135,12 @@ class FeatureStore:
     item_ids: np.ndarray
     item_features: np.ndarray
     item_tags: np.ndarray
-    _user_order: np.ndarray = field(init=False, repr=False)  # argsort of the ids
-    _item_order: np.ndarray = field(init=False, repr=False)
+    _user_index: _IdIndex = field(init=False, repr=False)
+    _item_index: _IdIndex = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._user_order = np.argsort(self.user_ids, kind="stable")
-        self._item_order = np.argsort(self.item_ids, kind="stable")
+        self._user_index = _id_index(self.user_ids)
+        self._item_index = _id_index(self.item_ids)
 
     @property
     def n_users(self) -> int:
@@ -152,11 +152,11 @@ class FeatureStore:
 
     def user_rows(self, user_ids) -> np.ndarray:
         """Rows of an array of user ids, in its shape; DataError on an unknown one."""
-        return _rows(self.user_ids, self._user_order, user_ids, "user")
+        return _rows(self._user_index, user_ids, "user")
 
     def item_rows(self, item_ids) -> np.ndarray:
         """Rows of an array of item ids, in its shape; DataError on an unknown one."""
-        return _rows(self.item_ids, self._item_order, item_ids, "item")
+        return _rows(self._item_index, item_ids, "item")
 
     def user_row(self, user_id: int) -> int:
         return int(self.user_rows(user_id))
@@ -168,17 +168,72 @@ class FeatureStore:
         return {int(t): np.flatnonzero(self.item_tags == t) for t in np.unique(self.item_tags)}
 
 
-def _rows(ids: np.ndarray, order: np.ndarray, wanted, what: str) -> np.ndarray:
-    """Where each wanted id sits in ``ids`` (``order`` sorts them), or
-    DataError naming the first one that is not there."""
+# Integer ids that span at most this many values per id map to rows through
+# a table indexed by id - min id; any others through a sorted search.
+ID_TABLE_SPAN = 4
+
+
+class _IdIndex(NamedTuple):  # one id column's id -> row lookup
+    ids: np.ndarray
+    order: np.ndarray  # stable argsort of the ids
+    lo: int  # the least and greatest id, when there is a table
+    hi: int
+    table: np.ndarray | None  # row of id lo + t at t, the lowest if it repeats; -1 for none
+
+
+def _id_index(ids: np.ndarray) -> _IdIndex:
+    order = np.argsort(ids, kind="stable")
+    if not (len(ids) and ids.dtype.kind == "i"
+            and int(ids[order[-1]]) - int(ids[order[0]]) < ID_TABLE_SPAN * len(ids)):
+        return _IdIndex(ids, order, 0, 0, None)
+    s = ids[order]
+    first = np.r_[True, s[1:] != s[:-1]]  # a repeated id's lowest row sorts first
+    table = np.full(int(s[-1] - s[0]) + 1, -1, dtype=np.intp)
+    table[s[first] - s[0]] = order[first]
+    return _IdIndex(ids, order, int(s[0]), int(s[-1]), table)
+
+
+def _int64_value(v) -> int | None:
+    """``v`` as an int if it equals one in int64's range (``1.0`` does, as
+    ``1.0 == 1``), else None."""
     try:
-        wanted = np.asarray(wanted, dtype=np.int64)
-    except OverflowError:  # beyond int64, so no stored id
-        raise DataError(f"unknown {what} id {wanted}") from None
-    rows = order[np.searchsorted(ids, wanted, sorter=order).clip(max=len(ids) - 1)]
-    unknown = ids[rows] != wanted
+        i = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == v and -(1 << 63) <= i < (1 << 63) else None
+
+
+def _rows(index: _IdIndex, wanted, what: str) -> np.ndarray:
+    """Where each wanted id sits in ``index.ids`` (its lowest row if it
+    repeats), in the wanted shape, or DataError naming the first wanted value
+    that is no stored id; a value that is not an integer, such as 1.5 or NaN,
+    is none. Integer arrays map as they are, anything else value by value.
+
+    With a table, an id is compared with the least and greatest stored id
+    before the least is subtracted from it, so no id near int64's ends wraps;
+    without one, ``index.order`` sorts the ids for ``np.searchsorted``."""
+    raw = np.asarray(wanted)
+    if raw.dtype.kind not in "bi" and not isinstance(wanted, np.ndarray):
+        raw = np.asarray(wanted, dtype=object)  # numpy reads [-1, 2**63] as two floats
+    integral = None
+    if raw.dtype.kind in "bi":
+        wanted = raw.astype(np.int64, copy=False)
+    else:
+        values = [_int64_value(v) for v in raw.ravel().tolist()]
+        integral = np.array([v is not None for v in values], dtype=bool).reshape(raw.shape)
+        wanted = np.array([v or 0 for v in values], dtype=np.int64).reshape(raw.shape)
+    ids, order, lo, hi, table = index
+    if table is not None:
+        inside = (wanted >= lo) & (wanted <= hi)
+        rows = table[np.where(inside, wanted, lo) - lo]
+        unknown = ~inside | (rows < 0)
+    else:
+        rows = order[np.searchsorted(ids, wanted, sorter=order).clip(max=len(ids) - 1)]
+        unknown = ids[rows] != wanted
+    if integral is not None:
+        unknown |= ~integral
     if unknown.any():
-        raise DataError(f"unknown {what} id {wanted[unknown][0]}")
+        raise DataError(f"unknown {what} id {raw[unknown][0]}")
     return rows
 
 

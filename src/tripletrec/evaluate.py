@@ -12,12 +12,18 @@ Three metrics, all computed in inference mode over frozen parameters:
 Each metric embeds its users once and takes the catalogue's latents from
 the model's cache (``model.catalogue_latents``), so a full evaluation embeds
 the catalogue at most once; every triplet or query is scored against those
-latents. Item -> item queries are ranked in blocks of rows
-(``model.rank_latent_rows_for_items``), with the same bits as one
-``model.rank_latents_for_item`` call per query: both add each distance's
-terms left to right over the latent dimensions, at every latent width, and
-a row with a tie at the cut-off is ranked by ``model._top_k`` from its own
-distances, its id excluded by an id mask.
+latents, and ids map to rows in whole arrays (``FeatureStore.user_rows`` and
+``item_rows``, through an id table when the ids are dense).
+
+Both precisions rank their queries in blocks of rows, one distance pass and
+one partition per block, with the ids and warnings of one ranking call per
+query: users by ``model.rank_latent_rows_for_users``, whose block distances
+are each user's ``model.rank_latents_for_user`` distances bit for bit, and
+items by ``model.rank_latent_rows_for_items``, which adds each distance's
+terms left to right over the latent dimensions, as
+``model.rank_latents_for_item`` does, at every latent width. A row with a tie
+at the cut-off is ranked by ``model._top_k`` from its own distances, an item
+query's id excluded by an id mask.
 """
 
 from __future__ import annotations
@@ -93,15 +99,20 @@ def precision_at_k(
     k: int,
 ) -> float:
     """Average over users of (top-k items sharing the user's dominant tag)/k.
-    When fewer than k items exist the precision is over the available ones."""
+    When fewer than k items exist the precision is over the available ones.
+
+    The users are ranked in blocks (``model.rank_latent_rows_for_users``):
+    each gets the ids, and any warning, of its own
+    ``model.rank_latents_for_user`` call, whose distances its block forms
+    bit for bit, and a user with a tie at the k-th place is ranked by
+    ``model._top_k`` from the distances its block holds."""
     user_ids = list(user_ids)
     if not user_ids:
         raise DataError("no users to evaluate")
     rows = store.user_rows(user_ids)
     z_users = M.embed_user(model.user_tower, store.user_topics[rows])
     z_items = M.catalogue_latents(model, store.item_features)
-    ranked = np.array([M.rank_latents_for_user(model, z_u, store.item_ids, z_items, k)
-                       for z_u in z_users])
+    ranked = M.rank_latent_rows_for_users(model, z_users, store.item_ids, z_items, k)
     hits = store.item_tags[store.item_rows(ranked)] == store.user_tags[rows, None]
     return float(np.mean(hits.sum(axis=1) / ranked.shape[1]))
 
@@ -229,6 +240,16 @@ class MethodComparison:
 MIN_SEEDS = 3  # the fewest seeds compare_methods accepts
 
 
+def check_seeds(seeds: list[int]) -> None:
+    """ValueError unless ``seeds`` holds at least MIN_SEEDS seeds, none of
+    them twice: a repeated seed would count one run as two."""
+    if len(seeds) < MIN_SEEDS:
+        raise ValueError(f"need at least {MIN_SEEDS} seeds for a comparison, got {len(seeds)}")
+    repeated = next((s for i, s in enumerate(seeds) if s in seeds[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"seed {repeated} given more than once")
+
+
 def compare_methods(
     store: FeatureStore,
     config_a: T.TrainConfig,
@@ -240,8 +261,7 @@ def compare_methods(
 ) -> MethodComparison:
     """Train both configurations per seed on identical triplet data, a fifth
     of it held out, and report per-seed and aggregate metrics."""
-    if len(seeds) < MIN_SEEDS:
-        raise ValueError(f"need at least {MIN_SEEDS} seeds for a comparison")
+    check_seeds(seeds)
     strategy = strategy or PairingStrategy.unbalanced()
     name_a, name_b = config_a.model_kind, config_b.model_kind
     if name_a == name_b:

@@ -530,9 +530,11 @@ def rank_latents_for_item(
     return _top_k(np.asarray(item_ids), d, k, "item neighbours", exclude_ids)
 
 
-# Query rows times candidates in one block of rank_latent_rows_for_items, so
-# a distance buffer takes about ITEM_BLOCK * 8 bytes; a catalogue of more
-# items than that goes one query row per block.
+# Elements of one block's distance work in the block rankers: query rows
+# times candidates in rank_latent_rows_for_items, so a distance buffer takes
+# about ITEM_BLOCK * 8 bytes, and users times items times latent dims, the
+# difference, in rank_latent_rows_for_users. A catalogue too large for that
+# goes one query row per block.
 ITEM_BLOCK = 1 << 16
 
 
@@ -560,41 +562,38 @@ def item_distances(z_items: Array, rows: Array) -> Array:
     return d
 
 
-def rank_latent_rows_for_items(item_ids: Array, z_items: Array, rows: Array, k: int) -> Array:
-    """Row i is ``rank_latents_for_item(z_items[rows[i]], item_ids, z_items,
-    k, (item_ids[rows[i]],))``: the top-k neighbours of each catalogue row
-    in ``rows``, its own id excluded, with the same ids and warnings.
+def _rank_rows(item_ids: Array, n_rows: int, step: int, block_distances, k: int,
+               what: str, own_ids=None) -> Array:
+    """The top-k ids of each of ``n_rows`` query rows, taken ``step`` rows at
+    a time: ``block_distances(lo, hi)`` gives rows lo to hi's distances to
+    every candidate, and ``own_ids[i]``, if given, is row i's excluded id.
 
-    Queries go in blocks of about ITEM_BLOCK distances, which
-    :func:`item_distances` forms in the one left-to-right order of
-    :func:`rank_latents_for_item`, and each block is partitioned once at its
-    (k + 1)-th distance. A row that this cannot settle exactly is ranked by
-    :func:`_top_k` from the distances its block holds, its own id excluded:
-    one where more than k + 1 candidates lie at or below that distance (a
-    tie at it) or fewer (it is NaN), one whose id does not fill exactly one
-    of the k + 1 places, and every row when k < 1 or k >= n. If some row
-    gets fewer than k ids, the rows are stacked as ``np.array`` stacks
-    them."""
-    item_ids, rows = np.asarray(item_ids), np.asarray(rows, dtype=np.intp)
+    Each block is partitioned once, at its (k + m)-th distance, m = 1 with
+    an excluded id and 0 without. A row this cannot settle exactly is ranked
+    by :func:`_top_k` from its own distances, with its own warning: one where
+    more than k + m candidates lie at or below that distance (a tie at it)
+    or fewer (it is NaN), one whose excluded id does not fill exactly one of
+    the k + m places, and every row when k < 1 or k >= n. If some row gets
+    fewer than k ids, the rows are stacked as ``np.array`` stacks them."""
     n = item_ids.shape[0]
-    out = np.empty((rows.shape[0], min(max(k, 0), n)), dtype=item_ids.dtype)
+    cut = k + (own_ids is not None)
+    out = np.empty((n_rows, min(max(k, 0), n)), dtype=item_ids.dtype)
     short = {}
-    step = max(1, ITEM_BLOCK // max(n, 1))
-    for lo in range(0, rows.shape[0], step):
-        block = rows[lo : lo + step]
-        d = item_distances(z_items, block)
-        settled = np.zeros(block.shape[0], dtype=bool)
+    for lo in range(0, n_rows, step):
+        d = block_distances(lo, lo + step)
+        own = None if own_ids is None else own_ids[lo : lo + step]
+        settled = np.zeros(d.shape[0], dtype=bool)
         if 1 <= k < n:
-            near = np.argpartition(d, k, axis=1)[:, : k + 1]
+            near = np.argpartition(d, cut - 1, axis=1)[:, :cut]
             d_near = np.take_along_axis(d, near, axis=1)
             ids_near = item_ids[near]
             ranked = np.take_along_axis(ids_near, np.lexsort((ids_near, d_near), axis=1), axis=1)
-            own = ranked == item_ids[block, None]
-            settled = ((np.count_nonzero(d <= d_near[:, k, None], axis=1) == k + 1)
-                       & (np.count_nonzero(own, axis=1) == 1))
-            out[lo : lo + step][settled] = ranked[settled][~own[settled]].reshape(-1, k)
+            mine = np.zeros(ranked.shape, dtype=bool) if own is None else ranked == own[:, None]
+            settled = ((np.count_nonzero(d <= d_near[:, cut - 1, None], axis=1) == cut)
+                       & (np.count_nonzero(mine, axis=1) == cut - k))
+            out[lo : lo + step][settled] = ranked[settled][~mine[settled]].reshape(-1, k)
         for j in np.flatnonzero(~settled).tolist():
-            top = _top_k(item_ids, d[j], k, "item neighbours", (item_ids[block[j]],))
+            top = _top_k(item_ids, d[j], k, what, () if own is None else (own[j],))
             if top.shape[0] < k:
                 short[lo + j] = top
             else:
@@ -602,6 +601,41 @@ def rank_latent_rows_for_items(item_ids: Array, z_items: Array, rows: Array, k: 
     if short:
         return np.array([short.get(i, row) for i, row in enumerate(out)])
     return out
+
+
+def rank_latent_rows_for_users(
+    model: TripletModelParams, z_users: Array, item_ids: Array, z_items: Array, k: int
+) -> Array:
+    """Row i is ``rank_latents_for_user(model, z_users[i], item_ids, z_items,
+    k)``: the same ids and warnings.
+
+    Users go in blocks whose (users, items, L) difference holds about
+    ITEM_BLOCK elements, and each block's distances come from one
+    ``distance_forward(model.head, z_block[:, None, :], z_items)`` call,
+    which forms every user's row as its own call does, bit for bit. Each
+    block is ranked by :func:`_rank_rows`, with no excluded id."""
+    item_ids = np.asarray(item_ids)
+    step = max(1, ITEM_BLOCK // max(z_items.size, 1))
+    return _rank_rows(
+        item_ids, z_users.shape[0], step,
+        lambda lo, hi: distance_forward(model.head, z_users[lo:hi, None, :], z_items)[0],
+        k, "items for user")
+
+
+def rank_latent_rows_for_items(item_ids: Array, z_items: Array, rows: Array, k: int) -> Array:
+    """Row i is ``rank_latents_for_item(z_items[rows[i]], item_ids, z_items,
+    k, (item_ids[rows[i]],))``: the top-k neighbours of each catalogue row
+    in ``rows``, its own id excluded, with the same ids and warnings.
+
+    Queries go in blocks of about ITEM_BLOCK distances, which
+    :func:`item_distances` forms in the one left-to-right order of
+    :func:`rank_latents_for_item`, and each block is ranked by
+    :func:`_rank_rows`, the query's own id excluded."""
+    item_ids, rows = np.asarray(item_ids), np.asarray(rows, dtype=np.intp)
+    step = max(1, ITEM_BLOCK // max(item_ids.shape[0], 1))
+    return _rank_rows(item_ids, rows.shape[0], step,
+                      lambda lo, hi: item_distances(z_items, rows[lo:hi]),
+                      k, "item neighbours", item_ids[rows])
 
 
 def catalogue_latents(model: TripletModelParams, item_features: Array) -> Array:

@@ -425,6 +425,10 @@ class TestCompare:
         assert run(["compare", "--corpus", str(tmp_path / "missing"), "--seeds", "1,2"]) == 1
         assert "need at least 3 seeds for a comparison, got 2" in capsys.readouterr().err
 
+    def test_a_repeated_seed_fails_before_reading_the_corpus(self, tmp_path, capsys):
+        assert run(["compare", "--corpus", str(tmp_path / "missing"), "--seeds", "1,1,1"]) == 1
+        assert "seed 1 given more than once" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--k", "--n"])
     def test_count_below_one_fails_before_reading_the_corpus(self, flag, tmp_path, capsys):
         assert run(["compare", "--corpus", str(tmp_path / "missing"), flag, "0"]) == 1

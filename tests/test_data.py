@@ -6,11 +6,12 @@ import hashlib
 import io
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from tripletrec import data as data_module
@@ -901,6 +902,50 @@ class TestDrawOrder:
         assert got == self.PINNED[variant]
 
 
+INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+@st.composite
+def id_lookup_cases(draw):
+    """(stored int64 ids, wanted values): 1-30 ids that are dense, sparse (up
+    to 5 values per id) or repeated, from a least id anywhere in int64, its
+    ends included; wanted values that are stored ids, other ids near them,
+    int64's ends or ints beyond them, or else all floats, whole or not."""
+    n = draw(st.integers(1, 30))
+    span = n * draw(st.integers(1, 5))
+    lo = draw(st.sampled_from([INT64_MIN, -span // 2, INT64_MAX - span + 1])
+              | st.integers(INT64_MIN, INT64_MAX - span + 1))
+    offsets = draw(st.permutations(range(n)) if span == n else
+                   st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+    ids = [lo + o for o in offsets]
+    near = st.integers(max(lo - 3, INT64_MIN), min(lo + span + 3, INT64_MAX))
+    ints = st.sampled_from(ids) | near | st.sampled_from(
+        [INT64_MIN, INT64_MAX, INT64_MIN - 1, INT64_MAX + 1, 2**64])
+    floats = st.builds(float, st.sampled_from(ids) | near) | st.sampled_from(
+        [0.5, lo + 0.5, float("nan"), float("inf"), -(2.0**63), 2.0**63])
+    wanted = draw(st.lists(ints, min_size=1, max_size=8) | st.lists(floats, min_size=1, max_size=8))
+    return np.array(ids, dtype=np.int64), wanted
+
+
+def scan_rows(ids, wanted):
+    """The first position of each wanted value among the ids by Python's ==,
+    or DataError naming the first value at none."""
+    stored = ids.tolist()
+    rows = []
+    for w in wanted:
+        if w not in stored:
+            raise DataError(f"unknown user id {w}")
+        rows.append(stored.index(w))
+    return np.array(rows)
+
+
+def lookup_outcome(lookup, *args):
+    try:
+        return "rows", str(lookup(*args).tolist())
+    except DataError as e:
+        return "raised", str(e)
+
+
 class TestIdLookup:
     def test_rows_of_unsorted_ids_keep_the_query_shape(self):
         store = uneven_store()
@@ -914,3 +959,43 @@ class TestIdLookup:
     def test_unknown_id_is_data_error_naming_it(self, wanted, unknown):
         with pytest.raises(DataError, match=f"unknown item id {unknown}$"):
             uneven_store().item_rows(wanted)
+
+    def test_dense_ids_get_a_table_and_sparse_ones_a_sorted_search(self):
+        store = uneven_store()  # 16 item ids over 23 values, 7 user ids over 81
+        assert store._item_index.table is not None and store._user_index.table is None
+        assert generate_synthetic(SynthConfig(2, 2, 3, frames=1, frame_dim=2))._item_index.table is not None
+
+    @pytest.mark.parametrize("wanted, shown", [([10.5], "10.5"), (np.array([10.9]), "10.9"),
+                                               ([float("nan")], "nan"), ([np.inf], "inf"),
+                                               ([30.5, 99], "30.5"), (np.float32(20.25), "20.25")],
+                             ids=["half", "array", "nan", "inf", "second", "scalar"])
+    def test_a_value_that_is_not_an_integer_is_no_id(self, wanted, shown):
+        with pytest.raises(DataError, match=f"^unknown user id {shown}$"):
+            uneven_store().user_rows(wanted)
+        with pytest.raises(DataError, match=f"^unknown item id {shown}$"):
+            uneven_store().item_rows(wanted)
+
+    def test_integer_values_map_whatever_their_type(self):
+        store = uneven_store()
+        npt.assert_array_equal(store.user_rows([10.0, np.float32(50), 20]), [3, 0, 5])
+        npt.assert_array_equal(store.item_rows(np.array([[0.0, 22.0]])), [[4, 5]])
+        assert store.item_row(np.uint64(14)) == 15 and store.item_row(1.0) == 3
+
+    @settings(max_examples=400, deadline=None)
+    @given(id_lookup_cases())
+    # numpy reads this list as two floats, the first rounded to the stored id
+    @example((np.array([INT64_MIN], dtype=np.int64), [INT64_MIN + 1, 2**63]))
+    def test_table_and_sorted_search_give_the_rows_of_a_scan(self, case):
+        """Both lookups give each wanted value the first stored position that
+        equals it, and name the first value that none equals."""
+        ids, wanted = case
+        want = lookup_outcome(scan_rows, ids, wanted)
+        for span, has_table in ((0, False), (8, True)):
+            with mock.patch.object(data_module, "ID_TABLE_SPAN", span):
+                store = FeatureStore(ids, np.zeros((len(ids), 1)), np.zeros(len(ids), dtype=np.int64),
+                                     ids, np.zeros((len(ids), 1)), np.zeros(len(ids), dtype=np.int64))
+            assert (store._user_index.table is not None) == has_table
+            assert lookup_outcome(store.user_rows, wanted) == want
+            assert lookup_outcome(store.item_rows, wanted) == (
+                want[0], want[1].replace("user", "item"))
+

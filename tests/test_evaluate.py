@@ -407,6 +407,12 @@ class TestCompareMethods:
         with pytest.raises(ValueError, match="3 seeds"):
             compare_methods(store, cfg, cfg, seeds=[1, 2], log_stream=io.StringIO())
 
+    def test_rejects_a_repeated_seed(self):
+        store = small_corpus()
+        cfg = self._config(store, "triplet")
+        with pytest.raises(ValueError, match="^seed 2 given more than once$"):
+            compare_methods(store, cfg, cfg, seeds=[2, 3, 2, 3], log_stream=io.StringIO())
+
     def test_a_a_comparison_is_exactly_tied(self):
         store = small_corpus()
         cfg = self._config(store, "triplet")

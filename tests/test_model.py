@@ -886,6 +886,78 @@ class TestItemRows:
         assert [g.tolist() for g in got] == [[0, 1], [0, 1]]
 
 
+@st.composite
+def user_rows_cases(draw):
+    """(model, user latents, item ids, item latents, k, users per block):
+    n on both sides of TOP_K_PARTITION_MIN, latents of 1-9 dims on a small
+    integer grid (so distances tie) or normal, a NaN among them or not, ids
+    that may repeat, and k from 0 to n + 1."""
+    n = draw(st.integers(1, 30) | st.integers(M.TOP_K_PARTITION_MIN - 3, M.TOP_K_PARTITION_MIN + 3))
+    dim = draw(st.integers(1, 9))
+    seed = draw(st.integers(0, 2**32 - 1))
+    gen = np.random.default_rng(seed)
+    b = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        z_items, z_users = (gen.integers(-2, 3, size=(m, dim)).astype(np.float64) for m in (n, b))
+    else:
+        z_items, z_users = gen.normal(size=(n, dim)), gen.normal(size=(b, dim))
+    for z in (z_items, z_users):
+        if draw(st.booleans()):
+            z[gen.integers(z.shape[0]), gen.integers(dim)] = np.nan
+    ids = gen.permutation(n) + 100 if draw(st.booleans()) else gen.integers(0, n, size=n)
+    model = M.init_model(M.TowerSpec(2, [2], dim), M.TowerSpec(2, [2], dim), N.RngState(seed))
+    return model, z_users, ids, z_items, draw(st.integers(0, n + 1)), draw(st.integers(1, 3))
+
+
+class TestUserRows:
+    """The user block ranker gives every user the ids and warnings of its
+    own rank_latents_for_user call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(user_rows_cases())
+    def test_every_row_ranks_as_rank_latents_for_user(self, case):
+        model, z_users, item_ids, z_items, k, users_per_block = case
+
+        def one_call_per_user():
+            return np.array([M.rank_latents_for_user(model, z_u, item_ids, z_items, k)
+                             for z_u in z_users])
+
+        want, want_warnings = ranking_outcome(one_call_per_user)
+        with mock.patch.object(M, "ITEM_BLOCK", users_per_block * z_items.size):
+            got, got_warnings = ranking_outcome(
+                M.rank_latent_rows_for_users, model, z_users, item_ids, z_items, k)
+        assert got == want
+        # the same warnings, attributed to the block ranker's line instead
+        assert [w[:2] for w in got_warnings] == [w[:2] for w in want_warnings]
+
+    def test_only_users_with_a_tie_at_the_cut_off_are_sent_back(self):
+        """Blocks of 3 users, a head of positive weights: a user at the
+        latent of three equal items has three distances tied at the 2nd
+        place, so only such users go to _top_k, and every user ranks as
+        rank_latents_for_user does."""
+        gen = np.random.default_rng(6)
+        z = gen.normal(size=(50, 3))
+        z[[7, 8]] = z[40]
+        item_ids = np.arange(1000, 1050)
+        z_users = z[[0, 40, 1, 2, 3, 7, 4]]
+        model = tiny_model(6, latent=3)
+        assign(model.head.weight, np.abs(model.head.weight.value))
+        sent_back = []
+        top_k = M._top_k
+
+        def recording(ids, d, k, what, exclude_ids=()):
+            sent_back.append(d[0])
+            return top_k(ids, d, k, what, exclude_ids)
+
+        with mock.patch.object(M, "ITEM_BLOCK", 3 * z.size), \
+                mock.patch.object(M, "_top_k", recording):
+            got = M.rank_latent_rows_for_users(model, z_users, item_ids, z, 2)
+        want = [M.rank_latents_for_user(model, z_u, item_ids, z, 2).tolist() for z_u in z_users]
+        assert got.tolist() == want
+        # the distance to item 0 tells the two users sent back from the rest
+        assert sent_back == [M.weighted_distance(model.head, z_users[i], z[0])[0] for i in (1, 5)]
+
+
 class TestWeightSharing:
     def test_exactly_one_item_tower_parameter_set(self):
         m = tiny_model(seed=71)
