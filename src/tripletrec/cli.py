@@ -267,9 +267,9 @@ def gradcheck_models(seed: int):
     difference straddles the nondifferentiable point. The step 1e-4 balances
     truncation against float64 cancellation noise for these loss scales.
     """
-    user_spec = M.TowerSpec(input_dim=7, hidden_dims=[8, 6, 4, 4], output_dim=4, dropout_p=0.2)
-    item_spec = M.TowerSpec(input_dim=24, hidden_dims=[8, 6, 4, 4], output_dim=4, dropout_p=0.2)
-    model = M.init_model(user_spec, item_spec, RngState(seed))
+    user_spec = M.TowerSpec(input_dim=7, hidden_dims=[8, 6, 4, 4], output_dim=4)
+    item_spec = M.TowerSpec(input_dim=24, hidden_dims=[8, 6, 4, 4], output_dim=4)
+    model = M.init_model(user_spec, item_spec, RngState(seed), dropout_p=0.2)
     gen = np.random.default_rng(seed + 100)
     for p in model.parameters():
         with writing(p) as value:

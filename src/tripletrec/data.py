@@ -227,9 +227,11 @@ def _rows(index: _IdIndex, wanted, what: str) -> np.ndarray:
         inside = (wanted >= lo) & (wanted <= hi)
         rows = table[np.where(inside, wanted, lo) - lo]
         unknown = ~inside | (rows < 0)
-    else:
+    elif len(ids):
         rows = order[np.searchsorted(ids, wanted, sorter=order).clip(max=len(ids) - 1)]
         unknown = ids[rows] != wanted
+    else:  # no stored id to search
+        rows, unknown = np.zeros(wanted.shape, np.intp), np.ones(wanted.shape, bool)
     if integral is not None:
         unknown |= ~integral
     if unknown.any():

@@ -51,36 +51,34 @@ from .nn import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TowerSpec:
     """Shape of one fully connected tower.
 
     Hidden layers run linear -> per-row normalize -> ReLU -> dropout; a final
-    linear layer maps to the latent space with no activation. In training,
-    ``TrainConfig`` writes its own ``dropout_p`` into both of its towers, so
-    that value is the one that applies.
+    linear layer maps to the latent space with no activation. The dropout
+    rate is the model's (see :func:`allocate_model`).
     """
 
     input_dim: int
     hidden_dims: list[int] = field(default_factory=lambda: [32, 32, 16, 16])
     output_dim: int = 7
-    dropout_p: float = 0.2
-    normalize: bool = True
+    normalize: bool = field(default=True, kw_only=True)
 
     def __post_init__(self):
         if not self.hidden_dims:
             raise ValueError("a tower needs at least one hidden layer")
         if min(self.input_dim, self.output_dim, *self.hidden_dims) < 1:
             raise ValueError("tower dimensions must be positive")
-        check_dropout_p(self.dropout_p)
 
 
 @dataclass
 class TowerParams:
-    """Parameters of one tower: per-layer weights/biases plus normalization
-    gain/shift for each hidden layer (empty when normalization is off)."""
+    """Parameters of one tower: per-layer weights/biases, normalization
+    gain/shift per hidden layer (empty when it is off) and the dropout rate."""
 
     spec: TowerSpec
+    dropout_p: float
     weights: list[ParamTensor]
     biases: list[ParamTensor]
     gains: list[ParamTensor]
@@ -102,13 +100,13 @@ def tower_layout(spec: TowerSpec) -> list[tuple[str, str, int, tuple[int, int]]]
     return out
 
 
-def _tower_of(spec: TowerSpec, parts) -> TowerParams:
+def _tower_of(spec: TowerSpec, dropout_p: float, parts) -> TowerParams:
     """The tower whose tensors, in tower_layout order, are the next ones
     ``parts`` yields."""
     fields = {"weights": [], "biases": [], "gains": [], "shifts": []}
     for (_, f, _, _), part in zip(tower_layout(spec), parts):
         fields[f].append(part)
-    return TowerParams(spec, **fields)
+    return TowerParams(spec, dropout_p, **fields)
 
 
 @dataclass
@@ -154,9 +152,10 @@ class TripletModelParams:
         ]
 
 
-def allocate_model(user_spec: TowerSpec, item_spec: TowerSpec) -> TripletModelParams:
-    """A model of these shapes with every parameter zero, all of them parts of
-    one arena in model_layout order. Draws nothing."""
+def allocate_model(user_spec: TowerSpec, item_spec: TowerSpec, dropout_p: float) -> TripletModelParams:
+    """A model of these shapes, both towers dropping ``dropout_p``, with every
+    parameter zero, all parts of one arena in model_layout order. Draws nothing."""
+    check_dropout_p(dropout_p)
     if user_spec.output_dim != item_spec.output_dim:
         raise ValueError(
             f"towers must share the latent dimension, got "
@@ -165,18 +164,20 @@ def allocate_model(user_spec: TowerSpec, item_spec: TowerSpec) -> TripletModelPa
     parts = param_arena([shape for _, shape, _ in model_layout(user_spec, item_spec)])
     rest = iter(parts)
     return TripletModelParams(
-        user_tower=_tower_of(user_spec, rest),
-        item_tower=_tower_of(item_spec, rest),
+        user_tower=_tower_of(user_spec, dropout_p, rest),
+        item_tower=_tower_of(item_spec, dropout_p, rest),
         head=DistanceHeadParams(next(rest), next(rest)),
         arena=parts[0].arena,
     )
 
 
-def init_model(user_spec: TowerSpec, item_spec: TowerSpec, rng: RngState) -> TripletModelParams:
-    """A model of these shapes with Glorot-uniform weights, zero biases and
-    identity normalization. The user tower, the item tower and the head each
-    take the next generator of ``rng``, in that order."""
-    model = allocate_model(user_spec, item_spec)
+def init_model(user_spec: TowerSpec, item_spec: TowerSpec, rng: RngState,
+               dropout_p: float) -> TripletModelParams:
+    """A model of these shapes, both towers dropping ``dropout_p``, with
+    Glorot-uniform weights, zero biases and identity normalization. The user
+    tower, the item tower and the head each take the next generator of
+    ``rng``, in that order."""
+    model = allocate_model(user_spec, item_spec, dropout_p)
     for tower in (model.user_tower, model.item_tower):
         gen = rng.next_generator()
         for w in tower.weights:
@@ -249,7 +250,7 @@ def tower_forward(
         if not np.array_equal(distinct, np.arange(len(x))):  # else x[distinct] is x
             x = x[distinct]
     n_hidden = len(tower.spec.hidden_dims)
-    p = tower.spec.dropout_p
+    p = tower.dropout_p
     # generator b * n_hidden + i masks branch b at hidden layer i
     gens = ([rng.next_generator() for _ in range(branches * n_hidden)]
             if training and p > 0.0 and rng is not None else None)

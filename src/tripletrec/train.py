@@ -12,6 +12,9 @@ whatever its size. Each epoch shuffles
 the examples (seeded), walks all full batches plus the final partial batch,
 takes one Adam step per batch and zeroes gradients afterwards. One JSON line
 per epoch goes to stdout: ``{"epoch": k, "mean_loss": x}``.
+
+The :class:`TrainConfig` is frozen, so the config that trains is the one
+validated and the one a checkpoint's header records.
 """
 
 from __future__ import annotations
@@ -27,21 +30,17 @@ import numpy as np
 
 from . import model as M
 from .data import DataError, FeatureStore, gather_triplet_rows, pairs_from_triplets
-from .nn import NonFiniteLossError, RngState, adam_step, writing, zero_grads
+from .nn import NonFiniteLossError, RngState, adam_step, check_dropout_p, writing, zero_grads
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 _MAGIC = "triplet-recsys-checkpoint"
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    """Everything that, with the data, determines a training run.
-
-    ``dropout_p`` is the dropout of both towers: construction writes it into
-    copies of ``user_tower`` and ``item_tower``, so their ``dropout_p`` always
-    equals it, whatever the specs passed in declared (and each copy's
-    construction checks it).
-    """
+    """Everything that, with the data, determines a training run; frozen, so
+    :func:`dataclasses.replace` makes a changed copy, validated again.
+    ``dropout_p`` is the dropout of both towers."""
 
     epochs: int = 200
     batch_size: int = 256
@@ -65,8 +64,7 @@ class TrainConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.model_kind not in ("triplet", "twonet"):
             raise ValueError(f"unknown model kind: {self.model_kind!r}")
-        self.user_tower = dataclasses.replace(self.user_tower, dropout_p=self.dropout_p)
-        self.item_tower = dataclasses.replace(self.item_tower, dropout_p=self.dropout_p)
+        check_dropout_p(self.dropout_p)
 
 
 @dataclass
@@ -82,7 +80,7 @@ class Checkpoint:
 
 def build_model(config: TrainConfig, rng: RngState) -> M.TripletModelParams:
     """Fresh towers/head per the config."""
-    return M.init_model(config.user_tower, config.item_tower, rng)
+    return M.init_model(config.user_tower, config.item_tower, rng, config.dropout_p)
 
 
 def train(
@@ -236,11 +234,6 @@ def load_checkpoint(path) -> Checkpoint:
 
         try:
             towers = {k: M.TowerSpec(**header["config"][k]) for k in ("user_tower", "item_tower")}
-            # the config gives both towers its own dropout_p, so a header whose
-            # towers spell another (0 against 0.0 included) would not save back as read
-            top = repr(header["config"]["dropout_p"])
-            if any(repr(header["config"][k]["dropout_p"]) != top for k in towers):
-                raise ValueError("a tower's dropout_p is not the config's dropout_p")
             config = TrainConfig(**{**header["config"], **towers})
             # the manifest and the file's length must fit the config before allocating
             layout = [(n, s) for n, s, _ in M.model_layout(config.user_tower, config.item_tower)]
@@ -251,7 +244,7 @@ def load_checkpoint(path) -> Checkpoint:
             if held != listed:
                 what = "truncated" if held < listed else "trailing bytes after"
                 raise ValueError(f"{what} tensor sections: {held} bytes, the manifest lists {listed}")
-            model = M.allocate_model(config.user_tower, config.item_tower)
+            model = M.allocate_model(config.user_tower, config.item_tower, config.dropout_p)
             rng = RngState(**header["rng"])
         except ValueError as e:
             raise DataError(f"{path}: invalid checkpoint: {e}") from None

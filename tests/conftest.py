@@ -46,6 +46,7 @@ def _missing_rng(header, sections):
 
 
 def _tower_dropout_differs(header, sections):
+    # a format 3 header whose tower still states a dropout, other than the config's
     header["config"]["user_tower"]["dropout_p"] = header["config"]["dropout_p"] + 0.1
     return sections
 
@@ -59,6 +60,14 @@ def _format_version_1(header, sections):
     # a format 1 header: it also held the epoch count and config.eval_every
     header.update(format_version=1, epoch=len(header["loss_history"]))
     header["config"]["eval_every"] = 0
+    return sections
+
+
+def _format_version_2(header, sections):
+    # a format 2 header: each tower also held the config's dropout_p
+    header["format_version"] = 2
+    for tower in ("user_tower", "item_tower"):
+        header["config"][tower]["dropout_p"] = header["config"]["dropout_p"]
     return sections
 
 
@@ -85,6 +94,7 @@ DEFECTS = {
     "tower-dropout-differs": _tower_dropout_differs,
     "negative-rng-seed": _negative_rng_seed,
     "format-version-1": _format_version_1,
+    "format-version-2": _format_version_2,
     "omitted-tensor": _omitted_tensor,
     "duplicated-tensor": _duplicated_tensor,
     "swapped-tensors": _swapped_tensors,

@@ -101,9 +101,9 @@ def test_criterion_1_gradient_oracle():
 
 def test_criterion_2_formula_fidelity():
     n = 1000
-    user_spec = M.TowerSpec(3, [5, 4], 3, dropout_p=0.0)
-    item_spec = M.TowerSpec(6, [5, 4], 3, dropout_p=0.0)
-    model = M.init_model(user_spec, item_spec, RngState(0))
+    user_spec = M.TowerSpec(3, [5, 4], 3)
+    item_spec = M.TowerSpec(6, [5, 4], 3)
+    model = M.init_model(user_spec, item_spec, RngState(0), 0.0)
     gen = np.random.default_rng(0)
     u = gen.normal(size=(n, 3))
     xi = gen.normal(size=(n, 6))
@@ -279,7 +279,7 @@ def test_criterion_6_oracle_equivalence():
     assert store.n_items <= 200
     model = M.init_model(
         M.TowerSpec(5, [16, 8], 4), M.TowerSpec(FRAMES * FRAME_DIM, [16, 8], 4),
-        RngState(3),
+        RngState(3), 0.2,
     )
     triplets = build_triplets(store, PairingStrategy.one_to_n(2), seed=2)
 

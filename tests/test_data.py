@@ -975,6 +975,17 @@ class TestIdLookup:
         with pytest.raises(DataError, match=f"^unknown item id {shown}$"):
             uneven_store().item_rows(wanted)
 
+    def test_a_store_with_no_users_or_no_items_knows_no_id(self):
+        none = np.zeros(0, dtype=np.int64)
+        store = FeatureStore(none, np.zeros((0, 3)), none, none, np.zeros((0, 2)), none)
+        for rows, what in ((store.user_rows, "user"), (store.item_rows, "item")):
+            for wanted in ([0], 5, [2.5]):
+                with pytest.raises(DataError, match=f"^unknown {what} id {np.ravel(wanted)[0]}$"):
+                    rows(wanted)
+            assert rows(none).shape == (0,) and rows(np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
+        with pytest.raises(DataError, match="^unknown user id 5$"):
+            store.user_row(5)
+
     def test_integer_values_map_whatever_their_type(self):
         store = uneven_store()
         npt.assert_array_equal(store.user_rows([10.0, np.float32(50), 20]), [3, 0, 5])

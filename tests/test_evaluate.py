@@ -50,7 +50,7 @@ def zero_head_model(store):
     """Random towers but an all-zero head: every distance is 0."""
     user_spec = M.TowerSpec(store.user_topics.shape[1], [5, 4], 3)
     item_spec = M.TowerSpec(store.item_features.shape[1], [5, 4], 3)
-    m = M.init_model(user_spec, item_spec, RngState(0))
+    m = M.init_model(user_spec, item_spec, RngState(0), 0.2)
     assign(m.head.weight, 0.0)
     assign(m.head.bias, 0.0)
     return m
@@ -71,9 +71,9 @@ def perfect_model(store):
     targets = np.eye(n_tags)
     w0, *_ = np.linalg.lstsq(prototypes, targets, rcond=None)
 
-    item_spec = M.TowerSpec(feat_dim, [n_tags], n_tags, dropout_p=0.0, normalize=False)
-    user_spec = M.TowerSpec(n_tags, [n_tags], n_tags, dropout_p=0.0, normalize=False)
-    m = M.allocate_model(user_spec, item_spec)
+    item_spec = M.TowerSpec(feat_dim, [n_tags], n_tags, normalize=False)
+    user_spec = M.TowerSpec(n_tags, [n_tags], n_tags, normalize=False)
+    m = M.allocate_model(user_spec, item_spec, 0.0)
     assign(m.item_tower.weights[0], w0)
     assign(m.item_tower.weights[1], np.eye(n_tags))
     # user tower: identity on the (non-negative) topic vector
@@ -155,7 +155,7 @@ class TestPairwiseAccuracy:
         triplets = build_triplets(store, PairingStrategy.one_to_n(2), seed=3)
         user_spec = M.TowerSpec(store.user_topics.shape[1], [5, 4], 3)
         item_spec = M.TowerSpec(store.item_features.shape[1], [5, 4], 3)
-        model = M.init_model(user_spec, item_spec, RngState(4))
+        model = M.init_model(user_spec, item_spec, RngState(4), 0.2)
         got = pairwise_accuracy(model, triplets, store)
         assert got == recount_pairwise(model, triplets, store)
 
@@ -171,6 +171,7 @@ class TestPairwiseAccuracy:
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
             RngState(6),
+            0.2,
         )
         shuffled = triplets[np.random.default_rng(0).permutation(len(triplets))]
         assert pairwise_accuracy(model, triplets, store) == pairwise_accuracy(
@@ -184,6 +185,7 @@ class TestPairwiseAccuracy:
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
             RngState(8),
+            0.2,
         )
         before = pairwise_accuracy(model, triplets, store)
         assign(model.head.bias, model.head.bias.value + 123.456)  # cancels in the logit difference
@@ -215,6 +217,7 @@ class TestPrecisionAtK:
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
             RngState(9),
+            0.2,
         )
         for k in (1, 4, 11):
             npt.assert_allclose(
@@ -244,6 +247,7 @@ class TestPrecisionAtK:
             M.TowerSpec(store.user_topics.shape[1], [6, 5], 3),
             M.TowerSpec(store.item_features.shape[1], [6, 5], 3),
             RngState(12),
+            0.2,
         )
         k = 50
         n_draws = store.n_users * k  # 10_000
@@ -260,6 +264,7 @@ class TestItemItemPrecision:
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
             RngState(13),
+            0.2,
         )
         # items of one tag share identical features, so latent distance 0
         assert item_item_precision_at_k(model, store.item_ids.tolist(), store, 4) == 1.0
@@ -282,6 +287,7 @@ class TestItemItemPrecision:
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
             RngState(14),
+            0.2,
         )
         for k in (1, 5):
             npt.assert_allclose(
@@ -304,6 +310,7 @@ class TestItemItemPrecision:
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
             RngState(17),
+            0.2,
         )
         queries = store.item_ids.tolist()
         rows = store.item_rows(queries)
@@ -360,6 +367,7 @@ class TestEvalReport:
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),
             RngState(16),
+            0.2,
         )
         item_rows = []
         tower_forward = M.tower_forward

@@ -35,9 +35,9 @@ def assign(p, x):
 
 def tiny_model(seed=0, user_dim=3, item_dim=5, hidden=(4, 3), latent=2,
                dropout=0.0, normalize=True):
-    user_spec = M.TowerSpec(user_dim, list(hidden), latent, dropout, normalize)
-    item_spec = M.TowerSpec(item_dim, list(hidden), latent, dropout, normalize)
-    return M.init_model(user_spec, item_spec, RngState(seed))
+    user_spec = M.TowerSpec(user_dim, list(hidden), latent, normalize=normalize)
+    item_spec = M.TowerSpec(item_dim, list(hidden), latent, normalize=normalize)
+    return M.init_model(user_spec, item_spec, RngState(seed), dropout)
 
 
 def zero_model(**kw):
@@ -82,8 +82,8 @@ class TestEmbedding:
         assert np.array_equal(z1, z2)
 
     def test_hand_computed_single_hidden_tower(self):
-        spec = M.TowerSpec(2, [2], 1, dropout_p=0.0, normalize=False)
-        tower = M.allocate_model(spec, spec).user_tower
+        spec = M.TowerSpec(2, [2], 1, normalize=False)
+        tower = M.allocate_model(spec, spec, 0.0).user_tower
         assign(tower.weights[0], [[1.0, -1.0], [0.0, 2.0]])
         assign(tower.biases[0], [[0.5, -0.5]])
         assign(tower.weights[1], [[2.0], [1.0]])
@@ -372,8 +372,8 @@ class TestRanking:
         # pass-through towers (identity weights, no normalization) make item
         # latents equal item features; the item placed exactly at the user's
         # latent has minimal distance when head weights are positive
-        spec3 = M.TowerSpec(3, [3], 3, dropout_p=0.0, normalize=False)
-        m = M.allocate_model(spec3, spec3)
+        spec3 = M.TowerSpec(3, [3], 3, normalize=False)
+        m = M.allocate_model(spec3, spec3, 0.0)
         for tower in (m.user_tower, m.item_tower):
             assign(tower.weights[0], np.eye(3))
             assign(tower.weights[1], np.eye(3))
@@ -905,7 +905,7 @@ def user_rows_cases(draw):
         if draw(st.booleans()):
             z[gen.integers(z.shape[0]), gen.integers(dim)] = np.nan
     ids = gen.permutation(n) + 100 if draw(st.booleans()) else gen.integers(0, n, size=n)
-    model = M.init_model(M.TowerSpec(2, [2], dim), M.TowerSpec(2, [2], dim), N.RngState(seed))
+    model = M.init_model(M.TowerSpec(2, [2], dim), M.TowerSpec(2, [2], dim), N.RngState(seed), 0.2)
     return model, z_users, ids, z_items, draw(st.integers(0, n + 1)), draw(st.integers(1, 3))
 
 

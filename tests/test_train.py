@@ -1,6 +1,7 @@
 """Training-loop tests: determinism, epoch/step semantics, failure modes,
 and checkpoint round trips."""
 
+import dataclasses
 import io
 import json
 import os
@@ -96,15 +97,38 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="dropout probability"):
             tiny_config(dropout_p=p)
         with pytest.raises(ValueError, match="dropout probability"):
-            M.TowerSpec(3, [4], 2, dropout_p=p)
+            M.allocate_model(M.TowerSpec(3, [4], 2), M.TowerSpec(3, [4], 2), p)
 
-    def test_config_dropout_is_both_towers_dropout(self):
-        config = tiny_config(dropout_p=0.1, user_tower=M.TowerSpec(3, [6, 5], 3, dropout_p=0.2),
-                             item_tower=M.TowerSpec(12, [8, 6], 3, dropout_p=0.2))
-        assert config.user_tower.dropout_p == config.item_tower.dropout_p == 0.1
-        model = build_model(config, RngState(0))
-        assert model.user_tower.spec == config.user_tower
-        assert model.item_tower.spec == config.item_tower
+    def test_config_dropout_is_both_towers_dropout(self, corpus, tmp_path):
+        store, triplets = corpus
+        ckpt = train(store, triplets, tiny_config(dropout_p=0.5), log_stream=io.StringIO())
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        for model in (ckpt.model, load_checkpoint(tmp_path / "m.ckpt").model):
+            for tower in (model.user_tower, model.item_tower):
+                assert tower.dropout_p == 0.5
+                x = np.ones((8, tower.spec.input_dim))
+                _, (hidden, _, _) = M.tower_forward(tower, x, True, RngState(0))
+                # dropping 0.5 scales what survives by 2
+                assert all(set(np.unique(mask)) == {0.0, 2.0} for *_, mask in hidden)
+
+    def test_config_and_tower_fields_are_frozen(self):
+        # a field set after construction would skip validation, or not be what trains
+        config = tiny_config()
+        for spec in (config, config.user_tower):
+            for f in dataclasses.fields(spec):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(spec, f.name, getattr(spec, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.dropout_p = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.epochs = 0
+        assert dataclasses.replace(config, dropout_p=0.5).dropout_p == 0.5
+
+    def test_normalize_is_keyword_only(self):
+        # a positional fourth argument, once the tower's dropout, lands nowhere
+        with pytest.raises(TypeError):
+            M.TowerSpec(3, [4], 2, 0.2)
+        assert not M.TowerSpec(3, [4], 2, normalize=False).normalize
 
     @pytest.mark.parametrize("model_kind", ["triplet", "twonet"])
     def test_one_triplet_trains(self, corpus, model_kind):
@@ -228,12 +252,11 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_model_towers_are_the_config_towers_after_train_and_load(self, corpus, tmp_path):
-        # tiny_config's towers declare the default dropout 0.2, its dropout_p is 0.1
         store, triplets = corpus
         ckpt = train(store, triplets, tiny_config(), log_stream=io.StringIO())
         save_checkpoint(ckpt, tmp_path / "m.ckpt")
         for c in (ckpt, load_checkpoint(tmp_path / "m.ckpt")):
-            assert c.config.user_tower.dropout_p == c.config.item_tower.dropout_p == 0.1
+            assert c.model.user_tower.dropout_p == c.model.item_tower.dropout_p == 0.1
             assert c.model.user_tower.spec == c.config.user_tower
             assert c.model.item_tower.spec == c.config.item_tower
 
@@ -317,17 +340,17 @@ class TestCheckpoint:
         blob = path.read_bytes()
         nl = blob.find(b"\n")
         header = json.loads(blob[:nl])
-        for version in (1, 99):
+        for version in (1, 2, 99):
             header["format_version"] = version
             path.write_bytes(json.dumps(header, sort_keys=True).encode() + blob[nl:])
             with pytest.raises(DataError, match=re.escape(
-                    f"unsupported checkpoint version {version} (expected 2)")):
+                    f"unsupported checkpoint version {version} (expected 3)")):
                 load_checkpoint(path)
 
     def test_header_states_no_epoch_count_but_the_config_and_loss_history(self, saved_checkpoint,
                                                                        checkpoint_parts):
         header, _ = checkpoint_parts[0](saved_checkpoint.read_bytes())
-        assert header["format_version"] == 2
+        assert header["format_version"] == 3
         assert header.keys() == {"magic", "format_version", "config", "rng", "loss_history",
                                  "tensors"}
         assert "eval_every" not in header["config"]
