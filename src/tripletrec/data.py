@@ -99,10 +99,11 @@ class PairingStrategy:
         return cls("one_to_n", n)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SynthConfig:
     """Synthetic corpus: per-tag feature prototypes plus Gaussian noise, and
-    users whose topic vectors concentrate on their tag."""
+    users whose topic vectors concentrate on their tag. Frozen, so every
+    config :func:`generate_synthetic` reads was validated whole."""
 
     num_tags: int = 5
     users_per_tag: int = 20
@@ -122,6 +123,8 @@ class SynthConfig:
         if not (math.isfinite(self.topic_sharpness) and self.topic_sharpness >= 0):
             raise ValueError(f"topic sharpness must be a finite number >= 0, "
                              f"got {self.topic_sharpness}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass

@@ -24,6 +24,7 @@ import operator
 import warnings
 import weakref
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,29 +54,35 @@ from .nn import (
 
 @dataclass(frozen=True)
 class TowerSpec:
-    """Shape of one fully connected tower.
-
-    Hidden layers run linear -> per-row normalize -> ReLU -> dropout; a final
-    linear layer maps to the latent space with no activation. The dropout
-    rate is the model's (see :func:`allocate_model`).
-    """
+    """Shape of one fully connected tower, an immutable value (``hidden_dims``
+    is kept as a tuple). Every hidden layer runs linear -> layer norm -> ReLU ->
+    dropout, and a final linear layer maps to the latent space. The dropout rate
+    is the model's (see :func:`allocate_model`)."""
 
     input_dim: int
-    hidden_dims: list[int] = field(default_factory=lambda: [32, 32, 16, 16])
+    hidden_dims: tuple[int, ...] = (32, 32, 16, 16)
     output_dim: int = 7
-    normalize: bool = field(default=True, kw_only=True)
+    # not a field: every hidden layer normalizes; only bench/pipeline.py reads it
+    normalize: ClassVar[bool] = True
 
     def __post_init__(self):
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if not self.hidden_dims:
             raise ValueError("a tower needs at least one hidden layer")
         if min(self.input_dim, self.output_dim, *self.hidden_dims) < 1:
             raise ValueError("tower dimensions must be positive")
 
 
+def check_latent_dims(user_spec: TowerSpec, item_spec: TowerSpec) -> None:
+    """Raise ValueError unless the two towers map into one latent space."""
+    if user_spec.output_dim != item_spec.output_dim:
+        raise ValueError(f"towers must share the latent dimension, got "
+                         f"{user_spec.output_dim} vs {item_spec.output_dim}")
+
+
 @dataclass
 class TowerParams:
-    """Parameters of one tower: per-layer weights/biases, normalization
-    gain/shift per hidden layer (empty when it is off) and the dropout rate."""
+    """One tower's weights, biases, norm gains and shifts, and dropout rate."""
 
     spec: TowerSpec
     dropout_p: float
@@ -95,7 +102,7 @@ def tower_layout(spec: TowerSpec) -> list[tuple[str, str, int, tuple[int, int]]]
     out = []
     for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
         out += [(f"w{i}", "weights", i, (d_in, d_out)), (f"b{i}", "biases", i, (1, d_out))]
-    for i, d in enumerate(spec.hidden_dims if spec.normalize else []):
+    for i, d in enumerate(spec.hidden_dims):
         out += [(f"gain{i}", "gains", i, (1, d)), (f"shift{i}", "shifts", i, (1, d))]
     return out
 
@@ -156,11 +163,7 @@ def allocate_model(user_spec: TowerSpec, item_spec: TowerSpec, dropout_p: float)
     """A model of these shapes, both towers dropping ``dropout_p``, with every
     parameter zero, all parts of one arena in model_layout order. Draws nothing."""
     check_dropout_p(dropout_p)
-    if user_spec.output_dim != item_spec.output_dim:
-        raise ValueError(
-            f"towers must share the latent dimension, got "
-            f"{user_spec.output_dim} vs {item_spec.output_dim}"
-        )
+    check_latent_dims(user_spec, item_spec)
     parts = param_arena([shape for _, shape, _ in model_layout(user_spec, item_spec)])
     rest = iter(parts)
     return TripletModelParams(
@@ -259,9 +262,7 @@ def tower_forward(
         h, lin_cache = linear_forward(h, tower.weights[i], tower.biases[i])
         if i == 0 and inverse is not None:
             h = h[inverse]
-        norm_cache = None
-        if tower.spec.normalize:
-            h, norm_cache = layer_norm_forward(h, tower.gains[i], tower.shifts[i])
+        h, norm_cache = layer_norm_forward(h, tower.gains[i], tower.shifts[i])
         h, relu_cache = relu_forward(h)
         h, drop_mask = dropout_forward(h, p, None if gens is None else gens[i::n_hidden], training)
         hidden_caches.append((lin_cache, norm_cache, relu_cache, drop_mask))
@@ -283,8 +284,7 @@ def tower_backward(d_z: Array, caches) -> None:
         lin_cache, norm_cache, relu_cache, drop_mask = hidden_caches[i]
         d = dropout_backward(d, drop_mask)
         d = relu_backward(d, relu_cache)
-        if norm_cache is not None:
-            d = layer_norm_backward(d, norm_cache)
+        d = layer_norm_backward(d, norm_cache)
         if i:
             d = linear_backward(d, lin_cache)
     first = hidden_caches[0][0]

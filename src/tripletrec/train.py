@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,15 +32,15 @@ from . import model as M
 from .data import DataError, FeatureStore, gather_triplet_rows, pairs_from_triplets
 from .nn import NonFiniteLossError, RngState, adam_step, check_dropout_p, writing, zero_grads
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 _MAGIC = "triplet-recsys-checkpoint"
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything that, with the data, determines a training run; frozen, so
-    :func:`dataclasses.replace` makes a changed copy, validated again.
-    ``dropout_p`` is the dropout of both towers."""
+    """Everything that, with the data, determines a training run; frozen and
+    hashable, so :func:`dataclasses.replace` makes a changed copy, validated
+    again. ``dropout_p`` is the dropout of both towers, whose latent dims agree."""
 
     epochs: int = 200
     batch_size: int = 256
@@ -48,10 +48,8 @@ class TrainConfig:
     learning_rate: float = 1e-3
     seed: int = 0
     model_kind: str = "triplet"  # "triplet" | "twonet"
-    user_tower: M.TowerSpec = field(default_factory=lambda: M.TowerSpec(input_dim=7))
-    item_tower: M.TowerSpec = field(
-        default_factory=lambda: M.TowerSpec(input_dim=7560, hidden_dims=[1024, 256, 64, 16])
-    )
+    user_tower: M.TowerSpec = M.TowerSpec(input_dim=7)
+    item_tower: M.TowerSpec = M.TowerSpec(input_dim=7560, hidden_dims=(1024, 256, 64, 16))
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -65,6 +63,7 @@ class TrainConfig:
         if self.model_kind not in ("triplet", "twonet"):
             raise ValueError(f"unknown model kind: {self.model_kind!r}")
         check_dropout_p(self.dropout_p)
+        M.check_latent_dims(self.user_tower, self.item_tower)
 
 
 @dataclass
@@ -168,9 +167,10 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-_HEADER_FORM = {  # the keys of a header and the types of their values
+_HEADER_FORM = {  # the keys of a header and the types of their values, as JSON reads them
     "magic": _MAGIC, "format_version": CHECKPOINT_VERSION, "loss_history": [0.0],
-    "config": dataclasses.asdict(TrainConfig()), "rng": {"seed": 0, "counter": 0},
+    "config": json.loads(json.dumps(dataclasses.asdict(TrainConfig()))),
+    "rng": {"seed": 0, "counter": 0},
     "tensors": [{"name": "", "shape": [0]}],
 }
 

@@ -46,7 +46,7 @@ def _missing_rng(header, sections):
 
 
 def _tower_dropout_differs(header, sections):
-    # a format 3 header whose tower still states a dropout, other than the config's
+    # a current header whose tower still states a dropout, other than the config's
     header["config"]["user_tower"]["dropout_p"] = header["config"]["dropout_p"] + 0.1
     return sections
 
@@ -68,6 +68,14 @@ def _format_version_2(header, sections):
     header["format_version"] = 2
     for tower in ("user_tower", "item_tower"):
         header["config"][tower]["dropout_p"] = header["config"]["dropout_p"]
+    return sections
+
+
+def _format_version_3(header, sections):
+    # a format 3 header: each tower also stated that its hidden layers normalize
+    header["format_version"] = 3
+    for tower in ("user_tower", "item_tower"):
+        header["config"][tower]["normalize"] = True
     return sections
 
 
@@ -95,6 +103,7 @@ DEFECTS = {
     "negative-rng-seed": _negative_rng_seed,
     "format-version-1": _format_version_1,
     "format-version-2": _format_version_2,
+    "format-version-3": _format_version_3,
     "omitted-tensor": _omitted_tensor,
     "duplicated-tensor": _duplicated_tensor,
     "swapped-tensors": _swapped_tensors,

@@ -2,8 +2,10 @@
 properties, triplet assembly under all three pairing regimes, splitting."""
 
 import csv
+import dataclasses
 import hashlib
 import io
+import re
 import warnings
 from collections import Counter
 from unittest import mock
@@ -425,6 +427,18 @@ class TestGenerateSynthetic:
     def test_value_the_loader_or_the_tag_would_refuse_rejected(self, field, value):
         with pytest.raises(ValueError, match="must be a finite number >= 0"):
             SynthConfig(**{field: value})
+
+    def test_fields_are_frozen_and_a_negative_seed_rejected(self):
+        # a field set after construction would skip validation: a NaN noise
+        # writes features the loader refuses, and zero tags fail in a reshape
+        cfg = SynthConfig()
+        for f in dataclasses.fields(cfg):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(cfg, f.name, getattr(cfg, f.name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.feature_noise_std = float("nan")
+        with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+            SynthConfig(seed=-1)
 
     PINNED = {  # sha256 of the six columns, little-endian, in FeatureStore field order
         "default": (SynthConfig(),

@@ -58,8 +58,9 @@ def zero_head_model(store):
 
 def perfect_model(store):
     """Hand-built model that embeds items at their tag's one-hot vector and
-    users at their topic vector, with unit head weights: positives are
-    strictly closer than negatives for every user."""
+    users at their topic vector, each row-normalized and ReLU'd, with unit
+    head weights: an item of the user's dominant tag, the topic's largest
+    entry, is strictly closer than any other item."""
     n_tags = store.user_topics.shape[1]
     feat_dim = store.item_features.shape[1]
 
@@ -71,14 +72,16 @@ def perfect_model(store):
     targets = np.eye(n_tags)
     w0, *_ = np.linalg.lstsq(prototypes, targets, rcond=None)
 
-    item_spec = M.TowerSpec(feat_dim, [n_tags], n_tags, normalize=False)
-    user_spec = M.TowerSpec(n_tags, [n_tags], n_tags, normalize=False)
+    item_spec = M.TowerSpec(feat_dim, [n_tags], n_tags)
+    user_spec = M.TowerSpec(n_tags, [n_tags], n_tags)
     m = M.allocate_model(user_spec, item_spec, 0.0)
     assign(m.item_tower.weights[0], w0)
     assign(m.item_tower.weights[1], np.eye(n_tags))
     # user tower: identity on the (non-negative) topic vector
     assign(m.user_tower.weights[0], np.eye(n_tags))
     assign(m.user_tower.weights[1], np.eye(n_tags))
+    for tower in (m.user_tower, m.item_tower):
+        assign(tower.gains[0], 1.0)  # unit-gain norm, zero shift
     assign(m.head.weight, 1.0)
     return m
 

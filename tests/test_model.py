@@ -33,10 +33,9 @@ def assign(p, x):
         value[...] = x
 
 
-def tiny_model(seed=0, user_dim=3, item_dim=5, hidden=(4, 3), latent=2,
-               dropout=0.0, normalize=True):
-    user_spec = M.TowerSpec(user_dim, list(hidden), latent, normalize=normalize)
-    item_spec = M.TowerSpec(item_dim, list(hidden), latent, normalize=normalize)
+def tiny_model(seed=0, user_dim=3, item_dim=5, hidden=(4, 3), latent=2, dropout=0.0):
+    user_spec = M.TowerSpec(user_dim, list(hidden), latent)
+    item_spec = M.TowerSpec(item_dim, list(hidden), latent)
     return M.init_model(user_spec, item_spec, RngState(seed), dropout)
 
 
@@ -57,11 +56,10 @@ def reference_tower_forward(tower, x):
     n_hidden = len(tower.spec.hidden_dims)
     for i in range(n_hidden):
         h = h @ tower.weights[i].value + tower.biases[i].value
-        if tower.spec.normalize:
-            mu = h.mean(axis=1, keepdims=True)
-            var = ((h - mu) ** 2).mean(axis=1, keepdims=True)
-            h = (h - mu) / np.sqrt(np.maximum(var, NORM_VAR_FLOOR))
-            h = h * tower.gains[i].value + tower.shifts[i].value
+        mu = h.mean(axis=1, keepdims=True)
+        var = ((h - mu) ** 2).mean(axis=1, keepdims=True)
+        h = (h - mu) / np.sqrt(np.maximum(var, NORM_VAR_FLOOR))
+        h = h * tower.gains[i].value + tower.shifts[i].value
         h = np.maximum(h, 0.0)
     return h @ tower.weights[n_hidden].value + tower.biases[n_hidden].value
 
@@ -82,15 +80,17 @@ class TestEmbedding:
         assert np.array_equal(z1, z2)
 
     def test_hand_computed_single_hidden_tower(self):
-        spec = M.TowerSpec(2, [2], 1, normalize=False)
+        spec = M.TowerSpec(2, [2], 1)
         tower = M.allocate_model(spec, spec, 0.0).user_tower
         assign(tower.weights[0], [[1.0, -1.0], [0.0, 2.0]])
         assign(tower.biases[0], [[0.5, -0.5]])
+        assign(tower.gains[0], 1.0)
         assign(tower.weights[1], [[2.0], [1.0]])
         assign(tower.biases[1], [[0.25]])
-        # x=[1,2]: linear -> [1.5, 2.5]; relu keeps both; 2*1.5 + 1*2.5 + 0.25
+        # x=[1,2]: linear -> [1.5, 2.5]; norm -> [-1, 1]; relu -> [0, 1];
+        # 2*0 + 1*1 + 0.25
         z = M.embed_user(tower, np.array([[1.0, 2.0]]))
-        npt.assert_allclose(z, [[5.75]], rtol=1e-15)
+        npt.assert_allclose(z, [[1.25]], rtol=1e-15)
 
     def test_shared_tower_same_input_same_latent(self):
         m = tiny_model(seed=5)
@@ -369,13 +369,14 @@ class TestRanking:
                 assert np.array_equal(M._top_k(ids, d, k, "items"), want)
 
     def test_item_at_user_latent_ranks_first(self):
-        # pass-through towers (identity weights, no normalization) make item
-        # latents equal item features; the item placed exactly at the user's
-        # latent has minimal distance when head weights are positive
-        spec3 = M.TowerSpec(3, [3], 3, normalize=False)
+        # the same identity-weight, unit-gain towers for users and items give
+        # an item whose features are the user's topics the user's latent; it
+        # has minimal distance when head weights are positive
+        spec3 = M.TowerSpec(3, [3], 3)
         m = M.allocate_model(spec3, spec3, 0.0)
         for tower in (m.user_tower, m.item_tower):
             assign(tower.weights[0], np.eye(3))
+            assign(tower.gains[0], 1.0)
             assign(tower.weights[1], np.eye(3))
         assign(m.head.weight, [[1.0, 2.0, 0.5]])
         u = np.array([0.6, 0.3, 0.1])
@@ -1033,8 +1034,7 @@ def reference_tower_backward(d_z, caches):
             _, norm_cache, relu_cache, mask = hidden_caches[-i]
             d = N.dropout_backward(d, mask)
             d = d * (relu_cache > 0.0)
-            if norm_cache is not None:
-                d = N.layer_norm_backward(d, norm_cache)
+            d = N.layer_norm_backward(d, norm_cache)
         x, w, b = lin_cache
         if i == len(hidden_caches) and inverse is not None:
             x = x[inverse]  # the batch's rows gathered from the distinct rows

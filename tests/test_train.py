@@ -124,11 +124,34 @@ class TestTrainLoop:
             config.epochs = 0
         assert dataclasses.replace(config, dropout_p=0.5).dropout_p == 0.5
 
-    def test_normalize_is_keyword_only(self):
-        # a positional fourth argument, once the tower's dropout, lands nowhere
+    def test_a_tower_spec_is_only_a_shape(self):
+        # every hidden layer normalizes: there is no option to turn it off,
+        # and a positional fourth argument, once the tower's dropout, lands nowhere
+        assert [f.name for f in dataclasses.fields(M.TowerSpec)] == [
+            "input_dim", "hidden_dims", "output_dim"]
+        with pytest.raises(TypeError):
+            M.TowerSpec(3, [4], 2, normalize=False)
         with pytest.raises(TypeError):
             M.TowerSpec(3, [4], 2, 0.2)
-        assert not M.TowerSpec(3, [4], 2, normalize=False).normalize
+
+    def test_hidden_dims_are_stored_as_a_tuple(self):
+        # a list field would let a frozen config's tower change shape unvalidated
+        spec = M.TowerSpec(3, [4, 5], 2)
+        assert spec.hidden_dims == (4, 5) and type(spec.hidden_dims) is tuple
+        assert spec == M.TowerSpec(3, (4, 5), 2)
+        with pytest.raises(AttributeError):
+            tiny_config().user_tower.hidden_dims.append(0)
+
+    def test_equal_configs_hash_equal(self):
+        assert hash(TrainConfig()) == hash(TrainConfig())
+        built_from_lists = tiny_config(item_tower=M.TowerSpec(12, [8, 6], 3))
+        built_from_tuples = tiny_config(item_tower=M.TowerSpec(12, (8, 6), 3))
+        assert len({built_from_lists, built_from_tuples, tiny_config(seed=1)}) == 2
+
+    def test_towers_with_different_latent_dims_rejected(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "towers must share the latent dimension, got 3 vs 7")):
+            TrainConfig(user_tower=M.TowerSpec(5, [4], 3), item_tower=M.TowerSpec(8, [4], 7))
 
     @pytest.mark.parametrize("model_kind", ["triplet", "twonet"])
     def test_one_triplet_trains(self, corpus, model_kind):
@@ -340,17 +363,17 @@ class TestCheckpoint:
         blob = path.read_bytes()
         nl = blob.find(b"\n")
         header = json.loads(blob[:nl])
-        for version in (1, 2, 99):
+        for version in (1, 2, 3, 99):
             header["format_version"] = version
             path.write_bytes(json.dumps(header, sort_keys=True).encode() + blob[nl:])
             with pytest.raises(DataError, match=re.escape(
-                    f"unsupported checkpoint version {version} (expected 3)")):
+                    f"unsupported checkpoint version {version} (expected 4)")):
                 load_checkpoint(path)
 
     def test_header_states_no_epoch_count_but_the_config_and_loss_history(self, saved_checkpoint,
                                                                        checkpoint_parts):
         header, _ = checkpoint_parts[0](saved_checkpoint.read_bytes())
-        assert header["format_version"] == 3
+        assert header["format_version"] == 4
         assert header.keys() == {"magic", "format_version", "config", "rng", "loss_history",
                                  "tensors"}
         assert "eval_every" not in header["config"]
@@ -453,7 +476,7 @@ store = D.generate_synthetic(D.SynthConfig(num_tags=5, users_per_tag=4, items_pe
 triplets = D.build_triplets(store, D.PairingStrategy.unbalanced(), seed=11)[:256]
 config = TrainConfig(epochs=1, batch_size=256, seed=11, user_tower=M.TowerSpec(5, [32, 32, 16, 16]))
 ckpt = train(store, triplets, config, log_stream=io.StringIO())
-assert len(triplets) == 256 and ckpt.model.item_tower.spec.hidden_dims == [1024, 256, 64, 16]
+assert len(triplets) == 256 and ckpt.model.item_tower.spec.hidden_dims == (1024, 256, 64, 16)
 print(hashlib.sha256(ckpt.model.arena.value.tobytes()).hexdigest())
 """
 
