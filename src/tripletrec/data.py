@@ -37,6 +37,13 @@ otherwise than ``csv`` and Python's ``int`` and ``float`` would (a non-ASCII
 byte, a cell over csv's field limit, a header over more than one line, a
 non-finite value), goes to the Python reader, which loads what it accepts and
 raises the DataError for the rest.
+
+What makes a corpus whole beyond its cells is checked once, by
+``FeatureStore`` when it is built, whoever builds it (``load_corpus``,
+``generate_synthetic`` or a caller): each side has rows, its columns have
+one row per id, and no id repeats. Its DataError names the side and the id
+or the lengths, not the file. ``load_triplets``' own checks (no triplets, a
+label other than 0 or 1) name the file.
 """
 
 from __future__ import annotations
@@ -127,10 +134,16 @@ class SynthConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FeatureStore:
     """Column-oriented corpus: user topic vectors with dominant tags, item
-    feature vectors with tags, and id -> row lookups."""
+    feature vectors with tags, and id -> row lookups.
+
+    Checked once, when built: each side has at least one row, its three
+    columns have one row per id, and no id repeats, else DataError naming
+    the side and the lengths or the least repeated id. The fields are
+    frozen, so no id column changes under its index; ``dataclasses.replace``
+    makes a changed copy, checked again. The arrays stay writable."""
 
     user_ids: np.ndarray
     user_topics: np.ndarray
@@ -142,8 +155,13 @@ class FeatureStore:
     _item_index: _IdIndex = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._user_index = _id_index(self.user_ids)
-        self._item_index = _id_index(self.item_ids)
+        for what, kind, ids, values, tags in (
+                ("user", "topic", self.user_ids, self.user_topics, self.user_tags),
+                ("item", "feature", self.item_ids, self.item_features, self.item_tags)):
+            if not len(ids) == len(values) == len(tags):
+                raise DataError(f"{what} columns differ in length: {len(ids)} ids, "
+                                f"{len(values)} {kind} rows, {len(tags)} tags")
+            object.__setattr__(self, f"_{what}_index", _id_index(ids, what))
 
     @property
     def n_users(self) -> int:
@@ -178,21 +196,26 @@ ID_TABLE_SPAN = 4
 
 class _IdIndex(NamedTuple):  # one id column's id -> row lookup
     ids: np.ndarray
-    order: np.ndarray  # stable argsort of the ids
+    order: np.ndarray  # argsort of the ids, which are distinct
     lo: int  # the least and greatest id, when there is a table
     hi: int
-    table: np.ndarray | None  # row of id lo + t at t, the lowest if it repeats; -1 for none
+    table: np.ndarray | None  # row of id lo + t at t; -1 for none
 
 
-def _id_index(ids: np.ndarray) -> _IdIndex:
-    order = np.argsort(ids, kind="stable")
-    if not (len(ids) and ids.dtype.kind == "i"
-            and int(ids[order[-1]]) - int(ids[order[0]]) < ID_TABLE_SPAN * len(ids)):
-        return _IdIndex(ids, order, 0, 0, None)
+def _id_index(ids: np.ndarray, what: str) -> _IdIndex:
+    """The lookup of a side's id column, or DataError if it is empty or an
+    id repeats (naming the least such id, found among sorted neighbours)."""
+    if not len(ids):
+        raise DataError(f"no {what}s")
+    order = np.argsort(ids)
     s = ids[order]
-    first = np.r_[True, s[1:] != s[:-1]]  # a repeated id's lowest row sorts first
+    repeats = np.flatnonzero(s[1:] == s[:-1])
+    if repeats.size:
+        raise DataError(f"duplicate {what} id {s[repeats[0]]}")
+    if not (ids.dtype.kind == "i" and int(s[-1]) - int(s[0]) < ID_TABLE_SPAN * len(ids)):
+        return _IdIndex(ids, order, 0, 0, None)
     table = np.full(int(s[-1] - s[0]) + 1, -1, dtype=np.intp)
-    table[s[first] - s[0]] = order[first]
+    table[s - s[0]] = order
     return _IdIndex(ids, order, int(s[0]), int(s[-1]), table)
 
 
@@ -207,10 +230,10 @@ def _int64_value(v) -> int | None:
 
 
 def _rows(index: _IdIndex, wanted, what: str) -> np.ndarray:
-    """Where each wanted id sits in ``index.ids`` (its lowest row if it
-    repeats), in the wanted shape, or DataError naming the first wanted value
-    that is no stored id; a value that is not an integer, such as 1.5 or NaN,
-    is none. Integer arrays map as they are, anything else value by value.
+    """Where each wanted id sits in ``index.ids``, in the wanted shape, or
+    DataError naming the first wanted value that is no stored id; a value
+    that is not an integer, such as 1.5 or NaN, is none. Integer arrays map
+    as they are, anything else value by value.
 
     With a table, an id is compared with the least and greatest stored id
     before the least is subtracted from it, so no id near int64's ends wraps;
@@ -230,11 +253,9 @@ def _rows(index: _IdIndex, wanted, what: str) -> np.ndarray:
         inside = (wanted >= lo) & (wanted <= hi)
         rows = table[np.where(inside, wanted, lo) - lo]
         unknown = ~inside | (rows < 0)
-    elif len(ids):
+    else:
         rows = order[np.searchsorted(ids, wanted, sorter=order).clip(max=len(ids) - 1)]
         unknown = ids[rows] != wanted
-    else:  # no stored id to search
-        rows, unknown = np.zeros(wanted.shape, np.intp), np.ones(wanted.shape, bool)
     if integral is not None:
         unknown |= ~integral
     if unknown.any():
@@ -387,13 +408,9 @@ def _triplet_groups(path, header):
 
 
 def load_corpus(users_path, items_path) -> FeatureStore:
-    """Read users and items CSVs into a validated FeatureStore."""
+    """Read users and items CSVs into a FeatureStore, which checks the corpus."""
     users = _load_columns(users_path, _user_groups)
     user_ids, user_topics = users[0][:, 0], users[1]
-    if not len(user_ids):
-        raise DataError(f"{users_path}: no users")
-    if len(np.unique(user_ids)) != len(user_ids):
-        raise DataError(f"{users_path}: duplicate user ids")
     if len(users) == 3:
         user_tags = users[2][:, 0]
     else:  # each row's argmax; a tie goes to the lowest index
@@ -401,10 +418,6 @@ def load_corpus(users_path, items_path) -> FeatureStore:
 
     item_ids, item_tags, item_features = _load_columns(items_path, _item_groups)
     item_ids, item_tags = item_ids[:, 0], item_tags[:, 0]
-    if not len(item_ids):
-        raise DataError(f"{items_path}: no items")
-    if len(np.unique(item_ids)) != len(item_ids):
-        raise DataError(f"{items_path}: duplicate item ids")
     return FeatureStore(user_ids, user_topics, user_tags, item_ids, item_features, item_tags)
 
 
@@ -523,7 +536,7 @@ def build_triplets(store: FeatureStore, strategy: PairingStrategy, seed: int) ->
     pos_of_user = [rows_by_tag[int(t)] for t in store.user_tags]
     n_pos = np.array([len(rows) for rows in pos_of_user], dtype=np.int64)
     user = np.repeat(np.arange(store.n_users), n_pos)
-    pos = np.concatenate([np.empty(0, np.int64), *pos_of_user])  # no users: no positives
+    pos = np.concatenate(pos_of_user)
     pos_tag = store.item_tags[pos]
 
     # k[i, j] is the index of positive i's j-th negative in its pool

@@ -55,7 +55,8 @@ from .nn import (
 @dataclass(frozen=True)
 class TowerSpec:
     """Shape of one fully connected tower, an immutable value (``hidden_dims``
-    is kept as a tuple). Every hidden layer runs linear -> layer norm -> ReLU ->
+    is kept as a tuple, and every width as a Python int: see
+    :func:`int_field`). Every hidden layer runs linear -> layer norm -> ReLU ->
     dropout, and a final linear layer maps to the latent space. The dropout rate
     is the model's (see :func:`allocate_model`)."""
 
@@ -66,11 +67,26 @@ class TowerSpec:
     normalize: ClassVar[bool] = True
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        for name in ("input_dim", "output_dim"):
+            object.__setattr__(self, name, int_field(name, getattr(self, name)))
+        object.__setattr__(self, "hidden_dims", tuple(
+            int_field(f"hidden_dims[{i}]", d) for i, d in enumerate(self.hidden_dims)))
         if not self.hidden_dims:
             raise ValueError("a tower needs at least one hidden layer")
         if min(self.input_dim, self.output_dim, *self.hidden_dims) < 1:
             raise ValueError("tower dimensions must be positive")
+
+
+def int_field(name: str, value) -> int:
+    """An integer config field's value as a Python int (a numpy integer
+    converts), or ValueError naming the field: a float or a bool is refused,
+    as a checkpoint header refuses them."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_latent_dims(user_spec: TowerSpec, item_spec: TowerSpec) -> None:
@@ -574,12 +590,12 @@ def _rank_rows(item_ids: Array, n_rows: int, step: int, block_distances, k: int,
     by :func:`_top_k` from its own distances, with its own warning: one where
     more than k + m candidates lie at or below that distance (a tie at it)
     or fewer (it is NaN), one whose excluded id does not fill exactly one of
-    the k + m places, and every row when k < 1 or k >= n. If some row gets
-    fewer than k ids, the rows are stacked as ``np.array`` stacks them."""
-    n = item_ids.shape[0]
-    cut = k + (own_ids is not None)
-    out = np.empty((n_rows, min(max(k, 0), n)), dtype=item_ids.dtype)
-    short = {}
+    the k + m places, and every row when k < 1 or k >= n. The ids are
+    distinct and each excluded id is one of them, so every row gets
+    min(k, n - m) ids."""
+    n, m = item_ids.shape[0], int(own_ids is not None)
+    cut = k + m
+    out = np.empty((n_rows, max(min(k, n - m), 0)), dtype=item_ids.dtype)
     for lo in range(0, n_rows, step):
         d = block_distances(lo, lo + step)
         own = None if own_ids is None else own_ids[lo : lo + step]
@@ -594,13 +610,7 @@ def _rank_rows(item_ids: Array, n_rows: int, step: int, block_distances, k: int,
                        & (np.count_nonzero(mine, axis=1) == cut - k))
             out[lo : lo + step][settled] = ranked[settled][~mine[settled]].reshape(-1, k)
         for j in np.flatnonzero(~settled).tolist():
-            top = _top_k(item_ids, d[j], k, what, () if own is None else (own[j],))
-            if top.shape[0] < k:
-                short[lo + j] = top
-            else:
-                out[lo + j] = top
-    if short:
-        return np.array([short.get(i, row) for i, row in enumerate(out)])
+            out[lo + j] = _top_k(item_ids, d[j], k, what, () if own is None else (own[j],))
     return out
 
 
@@ -631,7 +641,9 @@ def rank_latent_rows_for_items(item_ids: Array, z_items: Array, rows: Array, k: 
     Queries go in blocks of about ITEM_BLOCK distances, which
     :func:`item_distances` forms in the one left-to-right order of
     :func:`rank_latents_for_item`, and each block is ranked by
-    :func:`_rank_rows`, the query's own id excluded."""
+    :func:`_rank_rows`, the query's own id excluded. The ids must be
+    distinct, as a store's are: a query excludes every row of its id, so
+    with a repeated one its row would be short."""
     item_ids, rows = np.asarray(item_ids), np.asarray(rows, dtype=np.intp)
     step = max(1, ITEM_BLOCK // max(item_ids.shape[0], 1))
     return _rank_rows(item_ids, rows.shape[0], step,

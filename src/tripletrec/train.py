@@ -40,7 +40,9 @@ _MAGIC = "triplet-recsys-checkpoint"
 class TrainConfig:
     """Everything that, with the data, determines a training run; frozen and
     hashable, so :func:`dataclasses.replace` makes a changed copy, validated
-    again. ``dropout_p`` is the dropout of both towers, whose latent dims agree."""
+    again. ``dropout_p`` is the dropout of both towers, whose latent dims agree.
+    ``epochs``, ``batch_size`` and ``seed`` are kept as Python ints (see
+    :func:`model.int_field`), so a config saves as JSON."""
 
     epochs: int = 200
     batch_size: int = 256
@@ -52,6 +54,8 @@ class TrainConfig:
     item_tower: M.TowerSpec = M.TowerSpec(input_dim=7560, hidden_dims=(1024, 256, 64, 16))
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, M.int_field(name, getattr(self, name)))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

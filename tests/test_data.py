@@ -97,7 +97,7 @@ class TestLoadCorpus:
     def test_empty_items_rejected(self, tmp_path):
         write_users(tmp_path / "users.csv", ["user_id,t0,t1", "1,0.9,0.1"])
         write_users(tmp_path / "items.csv", ["item_id,tag,f0"])
-        with pytest.raises(DataError, match="no items"):
+        with pytest.raises(DataError, match="^no items$"):  # the store's check
             load_corpus(tmp_path / "users.csv", tmp_path / "items.csv")
 
     def test_nan_feature_names_row_and_column(self, tmp_path):
@@ -132,7 +132,11 @@ class TestLoadCorpus:
     def test_duplicate_ids_rejected(self, tmp_path):
         write_users(tmp_path / "users.csv", ["user_id,t0,t1", "1,0.9,0.1", "1,0.1,0.9"])
         write_users(tmp_path / "items.csv", ["item_id,tag,f0", "10,0,1.0"])
-        with pytest.raises(DataError, match="duplicate user ids"):
+        with pytest.raises(DataError, match="^duplicate user id 1$"):  # the store's check
+            load_corpus(tmp_path / "users.csv", tmp_path / "items.csv")
+        write_users(tmp_path / "users.csv", ["user_id,t0,t1", "1,0.9,0.1"])
+        write_users(tmp_path / "items.csv", ["item_id,tag,f0", "10,0,1.0", "11,0,2.0", "10,1,3.0"])
+        with pytest.raises(DataError, match="^duplicate item id 10$"):
             load_corpus(tmp_path / "users.csv", tmp_path / "items.csv")
 
     def test_missing_file(self, tmp_path):
@@ -921,8 +925,8 @@ INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
 
 @st.composite
 def id_lookup_cases(draw):
-    """(stored int64 ids, wanted values): 1-30 ids that are dense, sparse (up
-    to 5 values per id) or repeated, from a least id anywhere in int64, its
+    """(stored int64 ids, wanted values): 1-30 distinct ids that are dense or
+    sparse (up to 5 values per id), from a least id anywhere in int64, its
     ends included; wanted values that are stored ids, other ids near them,
     int64's ends or ints beyond them, or else all floats, whole or not."""
     n = draw(st.integers(1, 30))
@@ -930,7 +934,7 @@ def id_lookup_cases(draw):
     lo = draw(st.sampled_from([INT64_MIN, -span // 2, INT64_MAX - span + 1])
               | st.integers(INT64_MIN, INT64_MAX - span + 1))
     offsets = draw(st.permutations(range(n)) if span == n else
-                   st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+                   st.lists(st.integers(0, span - 1), min_size=n, max_size=n, unique=True))
     ids = [lo + o for o in offsets]
     near = st.integers(max(lo - 3, INT64_MIN), min(lo + span + 3, INT64_MAX))
     ints = st.sampled_from(ids) | near | st.sampled_from(
@@ -989,17 +993,6 @@ class TestIdLookup:
         with pytest.raises(DataError, match=f"^unknown item id {shown}$"):
             uneven_store().item_rows(wanted)
 
-    def test_a_store_with_no_users_or_no_items_knows_no_id(self):
-        none = np.zeros(0, dtype=np.int64)
-        store = FeatureStore(none, np.zeros((0, 3)), none, none, np.zeros((0, 2)), none)
-        for rows, what in ((store.user_rows, "user"), (store.item_rows, "item")):
-            for wanted in ([0], 5, [2.5]):
-                with pytest.raises(DataError, match=f"^unknown {what} id {np.ravel(wanted)[0]}$"):
-                    rows(wanted)
-            assert rows(none).shape == (0,) and rows(np.zeros((2, 0), dtype=np.int64)).shape == (2, 0)
-        with pytest.raises(DataError, match="^unknown user id 5$"):
-            store.user_row(5)
-
     def test_integer_values_map_whatever_their_type(self):
         store = uneven_store()
         npt.assert_array_equal(store.user_rows([10.0, np.float32(50), 20]), [3, 0, 5])
@@ -1011,8 +1004,8 @@ class TestIdLookup:
     # numpy reads this list as two floats, the first rounded to the stored id
     @example((np.array([INT64_MIN], dtype=np.int64), [INT64_MIN + 1, 2**63]))
     def test_table_and_sorted_search_give_the_rows_of_a_scan(self, case):
-        """Both lookups give each wanted value the first stored position that
-        equals it, and name the first value that none equals."""
+        """Both lookups give each wanted value the stored position that equals
+        it, and name the first value that none equals."""
         ids, wanted = case
         want = lookup_outcome(scan_rows, ids, wanted)
         for span, has_table in ((0, False), (8, True)):
@@ -1024,3 +1017,56 @@ class TestIdLookup:
             assert lookup_outcome(store.item_rows, wanted) == (
                 want[0], want[1].replace("user", "item"))
 
+
+def store_fields(**changes):
+    """uneven_store()'s six columns, some replaced."""
+    store = uneven_store()
+    return {f.name: changes.get(f.name, getattr(store, f.name))
+            for f in dataclasses.fields(store) if f.init}
+
+
+class TestFeatureStore:
+    """A store checks its corpus once, when it is built: every store, however
+    made, has rows on each side, one row per id and no repeated id."""
+
+    @pytest.mark.parametrize("field, ids, message", [
+        ("user_ids", [50, 90, 90, 10, 50, 20, 80], "duplicate user id 50"),
+        ("item_ids", [15, 3, 8, 1, 0, 22, 7, 11, 9, 4, 5, 6, 2, 12, 13, 0], "duplicate item id 0"),
+    ], ids=["user", "item"])
+    def test_a_repeated_id_rejected_naming_the_least(self, field, ids, message):
+        with pytest.raises(DataError, match=f"^{message}$"):
+            FeatureStore(**store_fields(**{field: np.array(ids)}))
+
+    def test_no_users_or_no_items_rejected(self):
+        none = np.zeros(0, dtype=np.int64)
+        with pytest.raises(DataError, match="^no users$"):
+            FeatureStore(**store_fields(user_ids=none, user_topics=np.zeros((0, 3)), user_tags=none))
+        with pytest.raises(DataError, match="^no items$"):
+            FeatureStore(**store_fields(item_ids=none, item_features=np.zeros((0, 2)), item_tags=none))
+
+    @pytest.mark.parametrize("field, message", [
+        ("user_ids", "user columns differ in length: 6 ids, 7 topic rows, 7 tags"),
+        ("user_topics", "user columns differ in length: 7 ids, 6 topic rows, 7 tags"),
+        ("user_tags", "user columns differ in length: 7 ids, 7 topic rows, 6 tags"),
+        ("item_ids", "item columns differ in length: 15 ids, 16 feature rows, 16 tags"),
+        ("item_features", "item columns differ in length: 16 ids, 15 feature rows, 16 tags"),
+        ("item_tags", "item columns differ in length: 16 ids, 16 feature rows, 15 tags"),
+    ])
+    def test_a_column_of_another_length_rejected_naming_the_lengths(self, field, message):
+        short = getattr(uneven_store(), field)[:-1]
+        with pytest.raises(DataError, match=f"^{message}$"):
+            FeatureStore(**store_fields(**{field: short}))
+
+    def test_fields_are_frozen_and_replace_checks_again(self):
+        store = uneven_store()
+        for f in dataclasses.fields(store):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(store, f.name, getattr(store, f.name))
+        repeated = store.item_ids.copy()
+        repeated[3] = repeated[0]
+        with pytest.raises(DataError, match="^duplicate item id 15$"):
+            dataclasses.replace(store, item_ids=repeated)
+        moved = dataclasses.replace(store, item_ids=store.item_ids + 100)
+        npt.assert_array_equal(moved.item_rows(store.item_ids + 100), np.arange(store.n_items))
+        with pytest.raises(DataError, match="^unknown item id 15$"):
+            moved.item_row(15)

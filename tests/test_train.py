@@ -142,6 +142,37 @@ class TestTrainLoop:
         with pytest.raises(AttributeError):
             tiny_config().user_tower.hidden_dims.append(0)
 
+    @pytest.mark.parametrize("spec, message", [
+        ((3, [2.5], 2), "hidden_dims[0] must be an integer, got 2.5"),
+        ((3, [4, 4.0], 2), "hidden_dims[1] must be an integer, got 4.0"),
+        ((3, [True], 2), "hidden_dims[0] must be an integer, got True"),
+        ((3.0, [4], 2), "input_dim must be an integer, got 3.0"),
+        ((3, [4], np.bool_(True)), "output_dim must be an integer, got np.True_"),
+    ])
+    def test_a_width_that_is_a_float_or_a_bool_rejected(self, spec, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            M.TowerSpec(*spec)
+
+    @pytest.mark.parametrize("field, value", [("epochs", 2.0), ("batch_size", 16.0),
+                                              ("seed", True)])
+    def test_a_count_that_is_a_float_or_a_bool_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value}$"):
+            tiny_config(**{field: value})
+
+    def test_numpy_integers_are_stored_as_ints_and_the_checkpoint_saves(self, corpus, tmp_path):
+        store, triplets = corpus
+        config = tiny_config(epochs=np.int64(1), batch_size=np.int32(16), seed=np.uint8(2),
+                             user_tower=M.TowerSpec(np.int64(3), np.array([6, 5]), np.int64(3)),
+                             item_tower=M.TowerSpec(12, [np.int64(8), 6], 3))
+        ints = [config.epochs, config.batch_size, config.seed]
+        for spec in (config.user_tower, config.item_tower):
+            ints += [spec.input_dim, *spec.hidden_dims, spec.output_dim]
+        assert {type(v) for v in ints} == {int}
+        assert config == tiny_config(epochs=1, seed=2)
+        ckpt = train(store, triplets[:4], config, log_stream=io.StringIO())
+        save_checkpoint(ckpt, tmp_path / "m.ckpt")
+        assert load_checkpoint(tmp_path / "m.ckpt").config == config
+
     def test_equal_configs_hash_equal(self):
         assert hash(TrainConfig()) == hash(TrainConfig())
         built_from_lists = tiny_config(item_tower=M.TowerSpec(12, [8, 6], 3))
