@@ -240,15 +240,11 @@ def _cmd_retrieve(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    base = _train_config_from_args(args)
+    config = _train_config_from_args(args)
     store = D.load_corpus_dir(args.corpus)
-    base = _sized(base, store)
-    cfg_triplet = dataclasses.replace(base, model_kind="triplet")
-    cfg_twonet = dataclasses.replace(base, model_kind="twonet")
     comparison = E.compare_methods(
         store,
-        cfg_triplet,
-        cfg_twonet,
+        _sized(config, store),
         seeds=args.seeds,
         strategy=_strategy_from_args(args),
         k=args.k,

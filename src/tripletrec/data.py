@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -60,6 +61,18 @@ import numpy as np
 
 class DataError(ValueError):
     """Malformed corpus or triplet data; message carries the location."""
+
+
+def int_field(name: str, value) -> int:
+    """An integer config field's value as a Python int (a numpy integer
+    converts), or ValueError naming the field: a float or a bool is refused,
+    as a checkpoint header refuses them."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 _TRIPLET_DTYPE = np.dtype([(name, np.int64)
@@ -78,20 +91,25 @@ class PairingStrategy:
     """How negatives are paired with positives when building triplets.
 
     * ``unbalanced``: one negative per positive, drawn uniformly over all
-      items of other tags; tag-combination counts fall as they may.
+      items of other tags; tag-combination counts fall as they may. It is
+      ``one_to_n(1)``: the same draws give the same triplets.
     * ``balanced``: every (positive-tag, negative-tag) combination ends up
       with the same triplet count, excess trimmed at random.
-    * ``one_to_n``: n distinct negatives per positive.
+    * ``one_to_n``: n distinct negatives per positive, a Python int (see
+      :func:`int_field`). The other two refuse an n other than 1.
     """
 
     variant: str
     n: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "n", int_field("n", self.n))
         if self.variant not in ("unbalanced", "balanced", "one_to_n"):
             raise ValueError(f"unknown pairing variant: {self.variant!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.n != 1 and self.variant != "one_to_n":
+            raise ValueError(f"n applies to one_to_n only, got n={self.n} for {self.variant!r}")
 
     @classmethod
     def unbalanced(cls) -> "PairingStrategy":
@@ -110,7 +128,8 @@ class PairingStrategy:
 class SynthConfig:
     """Synthetic corpus: per-tag feature prototypes plus Gaussian noise, and
     users whose topic vectors concentrate on their tag. Frozen, so every
-    config :func:`generate_synthetic` reads was validated whole."""
+    config :func:`generate_synthetic` reads was validated whole; the counts
+    and the seed are kept as Python ints (see :func:`int_field`)."""
 
     num_tags: int = 5
     users_per_tag: int = 20
@@ -122,6 +141,8 @@ class SynthConfig:
     frame_dim: int = 378
 
     def __post_init__(self):
+        for name in ("num_tags", "users_per_tag", "items_per_tag", "seed", "frames", "frame_dim"):
+            object.__setattr__(self, name, int_field(name, getattr(self, name)))
         if min(self.num_tags, self.users_per_tag, self.items_per_tag, self.frames, self.frame_dim) < 1:
             raise ValueError("all synthetic corpus counts must be >= 1")
         if not (math.isfinite(self.feature_noise_std) and self.feature_noise_std >= 0):
@@ -551,26 +572,25 @@ def build_triplets(store: FeatureStore, strategy: PairingStrategy, seed: int) ->
         neg = by_tag[tag_start[other] + k]
     else:
         # the pool is the rows not of the positive's tag
-        n_neg = 1 if strategy.variant == "unbalanced" else strategy.n
         n_pool = store.n_items - n_pos  # of each user
-        if n_neg == 1:
+        if strategy.n == 1:
             k = gen.integers(0, np.repeat(n_pool, n_pos))[:, None]
         else:
-            k = np.empty((len(pos), n_neg), dtype=np.int64)
+            k = np.empty((len(pos), strategy.n), dtype=np.int64)
             stop = np.cumsum(n_pos)
             warned_replacement = False
             for u, start in enumerate(stop - n_pos):
-                if n_neg <= n_pool[u]:
+                if strategy.n <= n_pool[u]:
                     for i in range(start, stop[u]):
-                        k[i] = gen.choice(n_pool[u], size=n_neg, replace=False)
+                        k[i] = gen.choice(n_pool[u], size=strategy.n, replace=False)
                 else:
                     if not warned_replacement:
                         warnings.warn(
-                            f"requested {n_neg} negatives per positive but only "
+                            f"requested {strategy.n} negatives per positive but only "
                             f"{n_pool[u]} are available; sampling with replacement"
                         )
                         warned_replacement = True
-                    k[start : stop[u]] = gen.integers(0, n_pool[u], size=(n_pos[u], n_neg))
+                    k[start : stop[u]] = gen.integers(0, n_pool[u], size=(n_pos[u], strategy.n))
         neg = np.empty_like(k)
         for t in np.unique(pos_tag):
             at = pos_tag == t
@@ -604,18 +624,6 @@ def gather_triplet_rows(store: FeatureStore, triplets: np.recarray):
             store.item_rows(triplets.item_j_id), triplets.label.astype(np.float64))
 
 
-def pairs_from_triplets(triplets: np.recarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten triplets into (user, item, match-label) examples for the
-    two-branch baseline: each triplet yields its matching item with label 1
-    and its non-matching item with label 0 — the same information the
-    triplet model sees, presented pointwise."""
-    first = triplets.label == 0
-    pos = np.where(first, triplets.item_i_id, triplets.item_j_id)
-    neg = np.where(first, triplets.item_j_id, triplets.item_i_id)
-    return (np.repeat(triplets.user_id, 2), np.stack([pos, neg], axis=1).ravel(),
-            np.tile([1.0, 0.0], len(triplets)))
-
-
 def split_train_test(
     triplets: np.recarray,
     test_fraction: float,
@@ -623,7 +631,10 @@ def split_train_test(
     store: FeatureStore,
 ) -> tuple[np.recarray, np.recarray]:
     """Disjoint split stratified by the triplet user's dominant tag; falls
-    back to an unstratified split (with a warning) on degenerate strata."""
+    back to an unstratified split (with a warning) on degenerate strata.
+    Each stratum keeps 1 to its size less 1 test triplets; passes over the
+    strata move their counts toward the target until it is met or a pass
+    moves none, and a target missed warns with both test-set sizes."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError("test_fraction must be in (0, 1)")
     n = len(triplets)
@@ -645,16 +656,17 @@ def split_train_test(
         counts = np.clip(np.trunc(ideal).astype(np.int64), 1, sizes - 1)
         remaining = target_test - int(counts.sum())
         order = np.argsort(np.trunc(ideal) - ideal, kind="stable")  # largest remainder first
-        i = 0
-        while remaining != 0 and i < 10 * len(keys):
-            k = order[i % len(keys)]
-            if remaining > 0 and counts[k] < sizes[k] - 1:
-                counts[k] += 1
-                remaining -= 1
-            elif remaining < 0 and counts[k] > 1:
-                counts[k] -= 1
-                remaining += 1
-            i += 1
+        while remaining != 0:  # a pass: one step for each stratum with room, in order
+            step = 1 if remaining > 0 else -1
+            has_room = counts < sizes - 1 if step > 0 else counts > 1
+            moved = order[has_room[order]][: abs(remaining)]
+            if len(moved) == 0:
+                break
+            counts[moved] += step
+            remaining -= step * len(moved)
+        if remaining != 0:
+            warnings.warn(f"stratified split: requested {target_test} test triplets, "
+                          f"the strata allow {target_test - remaining}")
         for key, count in zip(keys, counts):
             idxs = np.flatnonzero(tags == key)
             test[idxs[gen.permutation(len(idxs))[:count]]] = True

@@ -191,27 +191,25 @@ class SeedResult:
 
 @dataclass
 class MethodComparison:
-    """Per-seed metrics for both methods with aggregate mean/std and the
-    per-seed win counts of the first method over the second."""
+    """Per-seed metrics of the triplet model and the twonet baseline, with
+    aggregate mean/std and the per-seed win counts of each over the other."""
 
-    method_a: str
-    method_b: str
     seeds: list[SeedResult]
 
     def _metric(self, which: str, method: str) -> np.ndarray:
         return np.array([getattr(s, which)[method] for s in self.seeds])
 
     def summary(self) -> dict:
-        out: dict = {"methods": [self.method_a, self.method_b], "n_seeds": len(self.seeds)}
+        out: dict = {"methods": ["triplet", "twonet"], "n_seeds": len(self.seeds)}
         for which in ("pairwise", "item_item"):
-            a = self._metric(which, self.method_a)
-            b = self._metric(which, self.method_b)
+            a = self._metric(which, "triplet")
+            b = self._metric(which, "twonet")
             out[which] = {
-                self.method_a: {"mean": float(a.mean()), "std": float(a.std())},
-                self.method_b: {"mean": float(b.mean()), "std": float(b.std())},
+                "triplet": {"mean": float(a.mean()), "std": float(a.std())},
+                "twonet": {"mean": float(b.mean()), "std": float(b.std())},
                 "wins": {
-                    self.method_a: int((a > b).sum()),
-                    self.method_b: int((b > a).sum()),
+                    "triplet": int((a > b).sum()),
+                    "twonet": int((b > a).sum()),
                     "ties": int((a == b).sum()),
                 },
             }
@@ -224,15 +222,15 @@ class MethodComparison:
 
     def to_table(self) -> str:
         s = self.summary()
-        lines = [f"{'metric':<28}{self.method_a:>18}{self.method_b:>18}{'wins':>10}"]
+        lines = [f"{'metric':<28}{'triplet':>18}{'twonet':>18}{'wins':>10}"]
         for which, label in (("pairwise", "pairwise accuracy"), ("item_item", "item-item p@k")):
             row = s[which]
-            a, b = row[self.method_a], row[self.method_b]
+            a, b = row["triplet"], row["twonet"]
             lines.append(
                 f"{label:<28}"
                 f"{a['mean']:>10.4f} ±{a['std']:.4f}"
                 f"{b['mean']:>10.4f} ±{b['std']:.4f}"
-                f"{row['wins'][self.method_a]:>5}-{row['wins'][self.method_b]}"
+                f"{row['wins']['triplet']:>5}-{row['wins']['twonet']}"
             )
         return "\n".join(lines)
 
@@ -252,33 +250,31 @@ def check_seeds(seeds: list[int]) -> None:
 
 def compare_methods(
     store: FeatureStore,
-    config_a: T.TrainConfig,
-    config_b: T.TrainConfig,
+    config: T.TrainConfig,
     seeds: list[int],
     strategy: PairingStrategy | None = None,
     k: int = 10,
     log_stream=None,
 ) -> MethodComparison:
-    """Train both configurations per seed on identical triplet data, a fifth
-    of it held out, and report per-seed and aggregate metrics."""
+    """Train ``config`` as ``"triplet"`` and then as ``"twonet"`` per seed,
+    on that seed's one split of its triplets (a fifth held out), and report
+    per-seed and aggregate metrics. Each run's config is ``config`` with
+    only ``model_kind`` and ``seed`` set, so the two runs of a seed differ
+    in nothing but the objective."""
     check_seeds(seeds)
     strategy = strategy or PairingStrategy.unbalanced()
-    name_a, name_b = config_a.model_kind, config_b.model_kind
-    if name_a == name_b:
-        name_a, name_b = f"{name_a}-a", f"{name_b}-b"
-
     results = []
     for seed in seeds:
         triplets = build_triplets(store, strategy, seed)
         train_set, test_set = split_train_test(triplets, 0.2, seed, store)
         pairwise: dict[str, float] = {}
         item_item: dict[str, float] = {}
-        for name, config in ((name_a, config_a), (name_b, config_b)):
-            run_cfg = dataclasses.replace(config, seed=seed)
+        for kind in ("triplet", "twonet"):
+            run_cfg = dataclasses.replace(config, model_kind=kind, seed=seed)
             ckpt = T.train(store, train_set, run_cfg, log_stream=log_stream)
-            pairwise[name] = pairwise_accuracy(ckpt.model, test_set, store)
-            item_item[name] = item_item_precision_at_k(
+            pairwise[kind] = pairwise_accuracy(ckpt.model, test_set, store)
+            item_item[kind] = item_item_precision_at_k(
                 ckpt.model, store.item_ids.tolist(), store, k
             )
         results.append(SeedResult(seed, pairwise, item_item))
-    return MethodComparison(name_a, name_b, results)
+    return MethodComparison(results)

@@ -28,7 +28,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, int_field
 from .nn import (
     Array,
     NonFiniteLossError,
@@ -56,7 +56,7 @@ from .nn import (
 class TowerSpec:
     """Shape of one fully connected tower, an immutable value (``hidden_dims``
     is kept as a tuple, and every width as a Python int: see
-    :func:`int_field`). Every hidden layer runs linear -> layer norm -> ReLU ->
+    :func:`data.int_field`). Every hidden layer runs linear -> layer norm -> ReLU ->
     dropout, and a final linear layer maps to the latent space. The dropout rate
     is the model's (see :func:`allocate_model`)."""
 
@@ -75,18 +75,6 @@ class TowerSpec:
             raise ValueError("a tower needs at least one hidden layer")
         if min(self.input_dim, self.output_dim, *self.hidden_dims) < 1:
             raise ValueError("tower dimensions must be positive")
-
-
-def int_field(name: str, value) -> int:
-    """An integer config field's value as a Python int (a numpy integer
-    converts), or ValueError naming the field: a float or a bool is refused,
-    as a checkpoint header refuses them."""
-    if not isinstance(value, bool):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def check_latent_dims(user_spec: TowerSpec, item_spec: TowerSpec) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model as M
-from .data import DataError, FeatureStore, gather_triplet_rows, pairs_from_triplets
+from .data import DataError, FeatureStore, gather_triplet_rows, int_field
 from .nn import NonFiniteLossError, RngState, adam_step, check_dropout_p, writing, zero_grads
 
 CHECKPOINT_VERSION = 4
@@ -42,7 +42,7 @@ class TrainConfig:
     hashable, so :func:`dataclasses.replace` makes a changed copy, validated
     again. ``dropout_p`` is the dropout of both towers, whose latent dims agree.
     ``epochs``, ``batch_size`` and ``seed`` are kept as Python ints (see
-    :func:`model.int_field`), so a config saves as JSON."""
+    :func:`data.int_field`), so a config saves as JSON."""
 
     epochs: int = 200
     batch_size: int = 256
@@ -55,7 +55,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, M.int_field(name, getattr(self, name)))
+            object.__setattr__(self, name, int_field(name, getattr(self, name)))
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -94,6 +94,10 @@ def train(
 ) -> Checkpoint:
     """Train per the config and return the final checkpoint.
 
+    The twonet baseline reads two examples off each triplet's store rows,
+    in triplet order: the user with the matching item, label 1, then with
+    the other item, label 0.
+
     Each step makes one loss call, ``model.triplet_loss_and_grads`` or
     ``model.twonet_loss_and_grads`` (looked up when training starts), with
     the batch's user topics, its item rows per branch (two for triplet, one
@@ -121,8 +125,10 @@ def train(
     user_rows, *branch_rows, labels = gather_triplet_rows(store, triplets)
     loss_and_grads = M.triplet_loss_and_grads
     if config.model_kind == "twonet":
-        pair_uids, pair_iids, labels = pairs_from_triplets(triplets)
-        user_rows, branch_rows = store.user_rows(pair_uids), [store.item_rows(pair_iids)]
+        i_j = np.stack(branch_rows, axis=1)
+        pairs = np.where(labels[:, None] == 0, i_j, i_j[:, ::-1])
+        user_rows, branch_rows = np.repeat(user_rows, 2), [pairs.ravel()]
+        labels = np.tile([1.0, 0.0], len(labels))
         loss_and_grads = M.twonet_loss_and_grads
     n_examples = len(labels)
 

@@ -27,7 +27,6 @@ from tripletrec.data import (
     load_corpus,
     load_corpus_dir,
     load_triplets,
-    pairs_from_triplets,
     save_corpus,
     save_triplets,
     split_train_test,
@@ -444,6 +443,19 @@ class TestGenerateSynthetic:
         with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
             SynthConfig(seed=-1)
 
+    INT_FIELDS = ("num_tags", "users_per_tag", "items_per_tag", "seed", "frames", "frame_dim")
+
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    @pytest.mark.parametrize("value", [3.0, True], ids=["float", "bool"])
+    def test_an_integer_field_that_is_a_float_or_a_bool_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            SynthConfig(**{field: value})
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        cfg = SynthConfig(**{f: np.int64(2) for f in self.INT_FIELDS})
+        assert all(type(getattr(cfg, f)) is int for f in self.INT_FIELDS)
+        assert generate_synthetic(cfg).n_items == 4
+
     PINNED = {  # sha256 of the six columns, little-endian, in FeatureStore field order
         "default": (SynthConfig(),
                     "c0eb00204e35561df695f68cb06b365d4a4e7a756e9ef7f7a0f9ed9855b8a5af"),
@@ -634,6 +646,22 @@ class TestBuildTriplets:
         with pytest.raises(ValueError):
             PairingStrategy.one_to_n(0)
 
+    @pytest.mark.parametrize("make", [lambda: PairingStrategy("one_to_n", 2.5),
+                                      lambda: PairingStrategy.one_to_n(True)],
+                             ids=["float", "bool"])
+    def test_an_n_that_is_a_float_or_a_bool_rejected(self, make):
+        with pytest.raises(ValueError, match="^n must be an integer, got (2.5|True)$"):
+            make()
+
+    def test_a_numpy_integer_n_is_stored_as_an_int(self):
+        assert type(PairingStrategy.one_to_n(np.int64(3)).n) is int
+
+    @pytest.mark.parametrize("variant", ["unbalanced", "balanced"])
+    def test_an_n_other_than_1_outside_one_to_n_rejected(self, variant):
+        with pytest.raises(ValueError, match=f"^n applies to one_to_n only, got n=5 for '{variant}'$"):
+            PairingStrategy(variant, 5)
+        assert PairingStrategy(variant, 1) == PairingStrategy(variant)
+
 
 def build_triplets_by_loop(store, strategy, seed):
     """The reference build: one ``choice`` call per negative (``balanced``)
@@ -804,29 +832,6 @@ def test_generator_calls_of_each_strategy(strategy, calls, monkeypatch):
     assert gen.calls == Counter(calls, random=1)
 
 
-class TestPairsFromTriplets:
-    def test_each_triplet_yields_pos_and_neg_pair(self):
-        store = small_store()
-        triplets = build_triplets(store, PairingStrategy.unbalanced(), seed=19)
-        uids, iids, labels = pairs_from_triplets(triplets)
-        assert len(uids) == 2 * len(triplets)
-        assert labels.sum() == len(triplets)
-        for uid, iid, lab in zip(uids, iids, labels):
-            user_tag = int(store.user_tags[store.user_row(uid)])
-            assert (store.item_tags[store.item_row(iid)] == user_tag) == bool(lab)
-
-    def test_pairs_follow_triplet_order_positive_first(self):
-        store = small_store()
-        triplets = build_triplets(store, PairingStrategy.one_to_n(2), seed=19)
-        expected = []
-        for t in triplets:
-            pos, neg = (t.item_i_id, t.item_j_id) if t.label == 0 else (t.item_j_id, t.item_i_id)
-            expected += [(t.user_id, pos, 1.0), (t.user_id, neg, 0.0)]
-        uids, iids, labels = pairs_from_triplets(triplets)
-        assert (uids.dtype, iids.dtype, labels.dtype) == (np.int64, np.int64, np.float64)
-        assert list(zip(uids, iids, labels)) == expected
-
-
 class TestSplit:
     def test_sizes(self):
         store = small_store()
@@ -868,6 +873,33 @@ class TestSplit:
         with pytest.warns(UserWarning, match="degenerate strata"):
             train, test = split_train_test(triplets, 0.34, seed=5, store=store)
         assert len(train) + len(test) == 3
+
+    @staticmethod
+    def strata(sizes):
+        """A store of one user per tag and triplets of stratum sizes ``sizes``."""
+        n = len(sizes)
+        store = FeatureStore(user_ids=np.arange(n), user_topics=np.eye(n), user_tags=np.arange(n),
+                             item_ids=np.arange(2), item_features=np.zeros((2, 1)),
+                             item_tags=np.arange(2))
+        uid = np.repeat(np.arange(n), sizes)
+        return store, triplet_array(uid, np.zeros_like(uid), np.ones_like(uid), np.zeros_like(uid))
+
+    def test_passes_continue_until_the_target_is_met(self):
+        # 24 strata of 2 hold 1 test triplet each; the stratum of 60 takes the
+        # other 57 of the 81, 12 more than its truncated share of 45
+        store, triplets = self.strata([2] * 24 + [60])
+        train, test = split_train_test(triplets, 0.75, seed=0, store=store)
+        assert (len(train), len(test)) == (27, 81)
+        assert np.bincount(test.user_id).tolist() == [1] * 24 + [57]
+
+    @pytest.mark.parametrize("fraction, target", [(0.2, 2), (0.95, 9)])
+    def test_a_target_the_strata_cannot_meet_warns(self, fraction, target):
+        # each stratum of 2 holds exactly 1 test triplet
+        store, triplets = self.strata([2] * 5)
+        match = f"^stratified split: requested {target} test triplets, the strata allow 5$"
+        with pytest.warns(UserWarning, match=match):
+            train, test = split_train_test(triplets, fraction, seed=0, store=store)
+        assert (len(train), len(test)) == (5, 5)
 
     def test_bad_fraction_rejected(self):
         store = small_store()

@@ -14,6 +14,7 @@ import numpy.testing as npt
 import pytest
 
 import tripletrec
+from tripletrec import evaluate as E
 from tripletrec import model as M
 from tripletrec.data import (
     DataError,
@@ -22,6 +23,7 @@ from tripletrec.data import (
     SynthConfig,
     build_triplets,
     generate_synthetic,
+    split_train_test,
 )
 from tripletrec.evaluate import (
     compare_methods,
@@ -396,7 +398,7 @@ def test_train_and_evaluate_import_in_either_order(first):
 
 
 class TestCompareMethods:
-    def _config(self, store, kind):
+    def _config(self, store, kind="triplet"):
         return TrainConfig(
             epochs=2,
             batch_size=32,
@@ -409,40 +411,44 @@ class TestCompareMethods:
 
     def test_requires_three_seeds(self):
         store = small_corpus()
-        cfg = self._config(store, "triplet")
         with pytest.raises(ValueError, match="3 seeds"):
-            compare_methods(store, cfg, cfg, seeds=[1, 2], log_stream=io.StringIO())
+            compare_methods(store, self._config(store), seeds=[1, 2], log_stream=io.StringIO())
 
     def test_rejects_a_repeated_seed(self):
         store = small_corpus()
-        cfg = self._config(store, "triplet")
         with pytest.raises(ValueError, match="^seed 2 given more than once$"):
-            compare_methods(store, cfg, cfg, seeds=[2, 3, 2, 3], log_stream=io.StringIO())
+            compare_methods(store, self._config(store), seeds=[2, 3, 2, 3],
+                            log_stream=io.StringIO())
 
-    def test_a_a_comparison_is_exactly_tied(self):
+    def test_each_seed_trains_one_config_both_ways_on_one_split(self, monkeypatch):
         store = small_corpus()
-        cfg = self._config(store, "triplet")
-        comparison = compare_methods(
-            store, cfg, dataclasses.replace(cfg), seeds=[1, 2, 3],
-            k=3, log_stream=io.StringIO(),
-        )
-        summary = comparison.summary()
-        for metric in ("pairwise", "item_item"):
-            row = summary[metric]
-            assert row["triplet-a"]["mean"] == row["triplet-b"]["mean"]
-            assert row["wins"]["ties"] == 3
+        config = self._config(store, kind="twonet")
+        strategy = PairingStrategy.one_to_n(2)
+        runs, real_train = [], E.T.train
+
+        def recording_train(store_arg, triplets, run_config, log_stream=None):
+            runs.append((store_arg, triplets, run_config))
+            return real_train(store_arg, triplets, run_config, log_stream=log_stream)
+
+        monkeypatch.setattr(E.T, "train", recording_train)
+        comparison = compare_methods(store, config, seeds=[4, 1, 9], strategy=strategy, k=3,
+                                     log_stream=io.StringIO())
+        assert len(runs) == 6
+        for seed, (a, b) in zip([4, 1, 9], zip(runs[::2], runs[1::2])):
+            train_set, _ = split_train_test(build_triplets(store, strategy, seed), 0.2, seed, store)
+            assert a[0] is store and b[0] is store
+            assert a[1].tobytes() == b[1].tobytes() == train_set.tobytes()
+            assert a[2] == dataclasses.replace(config, model_kind="triplet", seed=seed)
+            assert b[2] == dataclasses.replace(config, model_kind="twonet", seed=seed)
+        assert [r.seed for r in comparison.seeds] == [4, 1, 9]
 
     def test_outputs_render(self):
         store = small_corpus()
         comparison = compare_methods(
-            store,
-            self._config(store, "triplet"),
-            self._config(store, "twonet"),
-            seeds=[1, 2, 3],
-            k=3,
-            log_stream=io.StringIO(),
+            store, self._config(store), seeds=[1, 2, 3], k=3, log_stream=io.StringIO(),
         )
         parsed = json.loads(comparison.to_json())
+        assert parsed["methods"] == ["triplet", "twonet"]
         assert parsed["n_seeds"] == 3
         assert len(parsed["per_seed"]) == 3
         assert "pairwise accuracy" in comparison.to_table()
