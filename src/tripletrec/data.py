@@ -40,10 +40,12 @@ raises the DataError for the rest.
 
 What makes a corpus whole beyond its cells is checked once, by
 ``FeatureStore`` when it is built, whoever builds it (``load_corpus``,
-``generate_synthetic`` or a caller): each side has rows, its columns have
-one row per id, and no id repeats. Its DataError names the side and the id
-or the lengths, not the file. ``load_triplets``' own checks (no triplets, a
-label other than 0 or 1) name the file.
+``generate_synthetic`` or a caller): its id and tag columns are int64
+arrays, each side has rows, its columns have one row per id, and no id
+repeats. Its DataError names the side and the column's dtype, the id or the
+lengths, not the file. A lookup takes ids as int64 integers only, and
+refuses any other value with DataError naming the side. ``load_triplets``'
+own checks (no triplets, a label other than 0 or 1) name the file.
 """
 
 from __future__ import annotations
@@ -160,11 +162,12 @@ class FeatureStore:
     """Column-oriented corpus: user topic vectors with dominant tags, item
     feature vectors with tags, and id -> row lookups.
 
-    Checked once, when built: each side has at least one row, its three
-    columns have one row per id, and no id repeats, else DataError naming
-    the side and the lengths or the least repeated id. The fields are
-    frozen, so no id column changes under its index; ``dataclasses.replace``
-    makes a changed copy, checked again. The arrays stay writable."""
+    Checked once, when built: the id and tag columns are int64 arrays, each
+    side has at least one row, its three columns have one row per id, and no
+    id repeats, else DataError naming the side and the dtype, the lengths or
+    the least repeated id. The fields are frozen, so no id column changes
+    under its index; ``dataclasses.replace`` makes a changed copy, checked
+    again. The arrays stay writable."""
 
     user_ids: np.ndarray
     user_topics: np.ndarray
@@ -179,6 +182,10 @@ class FeatureStore:
         for what, kind, ids, values, tags in (
                 ("user", "topic", self.user_ids, self.user_topics, self.user_tags),
                 ("item", "feature", self.item_ids, self.item_features, self.item_tags)):
+            for name, column in (("ids", ids), ("tags", tags)):
+                dtype = getattr(column, "dtype", type(column).__name__)
+                if dtype != np.int64:
+                    raise DataError(f"{what} {name} must be an int64 array, got {dtype}")
             if not len(ids) == len(values) == len(tags):
                 raise DataError(f"{what} columns differ in length: {len(ids)} ids, "
                                 f"{len(values)} {kind} rows, {len(tags)} tags")
@@ -193,11 +200,13 @@ class FeatureStore:
         return len(self.item_ids)
 
     def user_rows(self, user_ids) -> np.ndarray:
-        """Rows of an array of user ids, in its shape; DataError on an unknown one."""
+        """Rows of an array of user ids, in its shape; DataError on an unknown
+        one or on a value that is not an int64 integer (see :func:`_rows`)."""
         return _rows(self._user_index, user_ids, "user")
 
     def item_rows(self, item_ids) -> np.ndarray:
-        """Rows of an array of item ids, in its shape; DataError on an unknown one."""
+        """Rows of an array of item ids, in its shape; DataError on an unknown
+        one or on a value that is not an int64 integer (see :func:`_rows`)."""
         return _rows(self._item_index, item_ids, "item")
 
     def user_row(self, user_id: int) -> int:
@@ -224,8 +233,8 @@ class _IdIndex(NamedTuple):  # one id column's id -> row lookup
 
 
 def _id_index(ids: np.ndarray, what: str) -> _IdIndex:
-    """The lookup of a side's id column, or DataError if it is empty or an
-    id repeats (naming the least such id, found among sorted neighbours)."""
+    """The lookup of a side's int64 id column, or DataError if it is empty or
+    an id repeats (naming the least such id, found among sorted neighbours)."""
     if not len(ids):
         raise DataError(f"no {what}s")
     order = np.argsort(ids)
@@ -233,42 +242,29 @@ def _id_index(ids: np.ndarray, what: str) -> _IdIndex:
     repeats = np.flatnonzero(s[1:] == s[:-1])
     if repeats.size:
         raise DataError(f"duplicate {what} id {s[repeats[0]]}")
-    if not (ids.dtype.kind == "i" and int(s[-1]) - int(s[0]) < ID_TABLE_SPAN * len(ids)):
+    if int(s[-1]) - int(s[0]) >= ID_TABLE_SPAN * len(ids):
         return _IdIndex(ids, order, 0, 0, None)
     table = np.full(int(s[-1] - s[0]) + 1, -1, dtype=np.intp)
     table[s - s[0]] = order
     return _IdIndex(ids, order, int(s[0]), int(s[-1]), table)
 
 
-def _int64_value(v) -> int | None:
-    """``v`` as an int if it equals one in int64's range (``1.0`` does, as
-    ``1.0 == 1``), else None."""
-    try:
-        i = int(v)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return i if i == v and -(1 << 63) <= i < (1 << 63) else None
-
-
 def _rows(index: _IdIndex, wanted, what: str) -> np.ndarray:
     """Where each wanted id sits in ``index.ids``, in the wanted shape, or
-    DataError naming the first wanted value that is no stored id; a value
-    that is not an integer, such as 1.5 or NaN, is none. Integer arrays map
-    as they are, anything else value by value.
+    DataError naming the first wanted value that is no stored id. Ids are
+    integers in int64's range: a signed-integer array or scalar, or a Python
+    int. Any other value (a float, a bool, a uint64, an int beyond int64)
+    raises DataError naming its first value and dtype; an empty input gives
+    no rows.
 
     With a table, an id is compared with the least and greatest stored id
     before the least is subtracted from it, so no id near int64's ends wraps;
     without one, ``index.order`` sorts the ids for ``np.searchsorted``."""
     raw = np.asarray(wanted)
-    if raw.dtype.kind not in "bi" and not isinstance(wanted, np.ndarray):
-        raw = np.asarray(wanted, dtype=object)  # numpy reads [-1, 2**63] as two floats
-    integral = None
-    if raw.dtype.kind in "bi":
-        wanted = raw.astype(np.int64, copy=False)
-    else:
-        values = [_int64_value(v) for v in raw.ravel().tolist()]
-        integral = np.array([v is not None for v in values], dtype=bool).reshape(raw.shape)
-        wanted = np.array([v or 0 for v in values], dtype=np.int64).reshape(raw.shape)
+    if raw.dtype.kind != "i" and raw.size:
+        raise DataError(f"{what} ids must be integers in int64's range, "
+                        f"got {raw.ravel()[:1].tolist()[0]!r} ({raw.dtype})")
+    wanted = raw.astype(np.int64, copy=False)
     ids, order, lo, hi, table = index
     if table is not None:
         inside = (wanted >= lo) & (wanted <= hi)
@@ -277,10 +273,8 @@ def _rows(index: _IdIndex, wanted, what: str) -> np.ndarray:
     else:
         rows = order[np.searchsorted(ids, wanted, sorter=order).clip(max=len(ids) - 1)]
         unknown = ids[rows] != wanted
-    if integral is not None:
-        unknown |= ~integral
     if unknown.any():
-        raise DataError(f"unknown {what} id {raw[unknown][0]}")
+        raise DataError(f"unknown {what} id {wanted[unknown][0]}")
     return rows
 
 
@@ -462,13 +456,11 @@ def save_corpus(store: FeatureStore, corpus_dir) -> None:
     topics = store.user_topics.astype(np.float64, copy=False)
     _write_csv(d / "users.csv", ["user_id", *[f"t{j}" for j in range(topics.shape[1])], "tag"],
                ([uid, *row.tolist(), tag] for uid, row, tag in
-                zip(store.user_ids.astype(np.int64).tolist(), topics,
-                    store.user_tags.astype(np.int64).tolist())))
+                zip(store.user_ids.tolist(), topics, store.user_tags.tolist())))
     features = store.item_features.astype(np.float64, copy=False)
     _write_csv(d / "items.csv", ["item_id", "tag", *[f"f{j}" for j in range(features.shape[1])]],
                ([iid, tag, *row.tolist()] for iid, tag, row in
-                zip(store.item_ids.astype(np.int64).tolist(),
-                    store.item_tags.astype(np.int64).tolist(), features)))
+                zip(store.item_ids.tolist(), store.item_tags.tolist(), features)))
 
 
 def save_triplets(triplets: np.recarray, path) -> None:

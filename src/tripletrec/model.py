@@ -468,11 +468,9 @@ def _top_k(item_ids: Array, distances: Array, k: int, what: str, exclude_ids=())
     """The first k ids by distance ascending, then id: ``np.lexsort`` order,
     among the candidates whose id is not in ``exclude_ids``.
 
-    Exclusion is an id mask, one ``item_ids != e`` per distinct id e. numpy
-    compares integers exactly, but an integer and a float as two floats (so
-    2**53 + 1 == 2.0**53 there): unless the ids and every e are integers,
-    each candidate the mask drops is checked against the set of excluded
-    ids, as ``in`` would.
+    Ids are int64, as a store's are, and excluded ids are integers (Python
+    ints, beyond int64 too, or numpy integers). Exclusion is an id mask, one
+    ``item_ids != e`` per distinct id e, which numpy compares exactly.
 
     For k below the count left and at least TOP_K_PARTITION_MIN of them, one
     partition of every distance finds the (k + m)-th, m the count dropped:
@@ -486,12 +484,7 @@ def _top_k(item_ids: Array, distances: Array, k: int, what: str, exclude_ids=())
     keep = None
     n = item_ids.shape[0]
     if len(exclude_ids):
-        drop = set(exclude_ids)
-        keep = functools.reduce(operator.and_, [item_ids != e for e in drop])
-        exact = item_ids.dtype.kind in "biu" and all(isinstance(e, (int, np.integer)) for e in drop)
-        if not exact:
-            dropped = np.flatnonzero(~keep)
-            keep[dropped] = [i not in drop for i in item_ids[dropped].tolist()]
+        keep = functools.reduce(operator.and_, [item_ids != e for e in set(exclude_ids)])
         n = int(np.count_nonzero(keep))
     if k > n:
         warnings.warn(
