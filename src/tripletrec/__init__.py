@@ -54,6 +54,8 @@ from .nn import (
     sigmoid_stable,
     zero_grads,
 )
-from .train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint, train
+# The training function stays at ``tripletrec.train.train``: a package
+# attribute named ``train`` would shadow the module.
+from .train import Checkpoint, TrainConfig, load_checkpoint, save_checkpoint
 
 __version__ = "0.1.0"

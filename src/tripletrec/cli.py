@@ -75,8 +75,8 @@ def _add_pairing_flags(p: argparse.ArgumentParser) -> None:
     are paired (see :func:`_strategy_from_args`)."""
     p.add_argument("--strategy", choices=["unbalanced", "balanced", "one-to-n"],
                    default="unbalanced")
-    p.add_argument("--n", type=_int_at_least(1, "n"), default=10,
-                   help="negatives per positive (one-to-n)")
+    p.add_argument("--n", type=_int_at_least(1, "n"),
+                   help="negatives per positive (one-to-n; 10 when absent)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -147,9 +147,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _strategy_from_args(args) -> D.PairingStrategy:
-    if args.strategy == "one-to-n":
-        return D.PairingStrategy.one_to_n(args.n)
-    return D.PairingStrategy(args.strategy)
+    """The strategy of ``--strategy`` with ``--n`` when given, so that
+    ``PairingStrategy`` refuses an n other than 1 outside one-to-n; without
+    it, one-to-n takes 10 and the others 1."""
+    variant = args.strategy.replace("-", "_")
+    default_n = 10 if variant == "one_to_n" else 1
+    return D.PairingStrategy(variant, default_n if args.n is None else args.n)
 
 
 def _synth_config_from_args(args) -> D.SynthConfig:
@@ -165,8 +168,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_build_pairs(args) -> int:
+    strategy = _strategy_from_args(args)
     store = D.load_corpus_dir(args.corpus)
-    triplets = D.build_triplets(store, _strategy_from_args(args), args.seed)
+    triplets = D.build_triplets(store, strategy, args.seed)
     D.save_triplets(triplets, args.out)
     print(f"wrote {len(triplets)} triplets to {args.out}")
     return 0
@@ -241,12 +245,13 @@ def _cmd_retrieve(args) -> int:
 
 def _cmd_compare(args) -> int:
     config = _train_config_from_args(args)
+    strategy = _strategy_from_args(args)
     store = D.load_corpus_dir(args.corpus)
     comparison = E.compare_methods(
         store,
         _sized(config, store),
         seeds=args.seeds,
-        strategy=_strategy_from_args(args),
+        strategy=strategy,
         k=args.k,
         log_stream=sys.stderr,  # keep stdout a single document under --json
     )

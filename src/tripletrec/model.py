@@ -245,7 +245,8 @@ def tower_forward(
     each branch's output equals that pass's bit for bit.
 
     An ``x`` whose width is not the tower's input width raises DataError
-    naming both, before any layer runs.
+    naming both, and a row of ``rows`` outside ``x`` ValueError naming it,
+    before any layer runs.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != tower.spec.input_dim:
@@ -253,6 +254,9 @@ def tower_forward(
     inverse, branches = None, 1
     if rows is not None:
         distinct, inverse = np.unique(np.concatenate(rows), return_inverse=True)
+        if len(distinct) and (distinct[0] < 0 or distinct[-1] >= len(x)):
+            bad = distinct[0] if distinct[0] < 0 else distinct[-1]
+            raise ValueError(f"row {bad} is outside the {len(x)} input rows")
         branches = len(rows)
         if not np.array_equal(distinct, np.arange(len(x))):  # else x[distinct] is x
             x = x[distinct]
@@ -385,16 +389,23 @@ def _pair_loss_and_grads(model, u, branches, signs, labels, training, rng, items
     it. Feature arrays are first stacked into one catalogue, each branch its
     own run of rows. The item tower then runs once, forward and backward,
     over every branch's rows stacked in order (see :func:`tower_forward`).
+
+    ``labels`` must be 1-D and, like every branch, hold one entry per user
+    row, else ValueError naming the lengths, before any tower runs.
     """
     labels = np.asarray(labels, dtype=np.float64)
+    n = len(np.atleast_2d(u))
     if items is None:
         blocks = [np.atleast_2d(b) for b in branches]
         ends = np.cumsum([len(b) for b in blocks])
         items = np.concatenate(blocks)
         branches = [np.arange(end - len(b), end) for b, end in zip(blocks, ends)]
+    lengths = [len(b) for b in branches]
+    if labels.ndim != 1 or {len(labels), *lengths} != {n}:
+        raise ValueError(f"a batch of {n} users needs 1-D labels and branches of {n} rows, "
+                         f"got labels of shape {labels.shape} and branches of {lengths} rows")
     z_u, cache_u = tower_forward(model.user_tower, u, training, rng)
     z, cache_z = tower_forward(model.item_tower, items, training, rng, rows=tuple(branches))
-    n = z.shape[0] // len(signs)
     ds, cds = zip(*(distance_forward(model.head, z_u, z[b * n : (b + 1) * n])
                     for b in range(len(signs))))
     terms = [s * d for s, d in zip(signs, ds)]

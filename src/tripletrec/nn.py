@@ -7,9 +7,11 @@ Each operation is a forward/backward pair: the forward returns
 cache, accumulates parameter gradients in place on the owning
 :class:`ParamTensor`, and returns the gradient with respect to the input
 (:func:`linear_param_backward`, for a layer whose input gradient nothing
-reads, returns nothing).
-Accumulation (``+=``) is deliberate: parameters referenced from several
-branches of a network collect contributions from every branch.
+reads, returns nothing). :func:`zero_grads` clears them between steps.
+In one loss call of ``tripletrec.model`` every tower tensor receives exactly
+one gradient contribution, since the shared item tower runs once over both
+item branches stacked; only the distance head receives one per branch (two
+in the triplet loss), and ``+=`` is what sums them.
 
 A few large products and passes run as fixed blocks on a per-process pool of
 worker threads: the forward and weight-gradient products of a linear layer

@@ -174,6 +174,25 @@ class TestBuildPairs:
         assert code == 1
         assert "n must be >= 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strategy", ["unbalanced", "balanced"])
+    def test_an_n_outside_one_to_n_fails_before_reading_the_corpus(self, strategy, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "pairs.csv"
+        code = run(["build-pairs", "--corpus", str(tmp_path / "missing"), "--strategy",
+                    strategy, "--n", "5", "--out", str(out)])
+        assert code == 1
+        assert (f"n applies to one_to_n only, got n=5 for {strategy!r}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_one_to_n_without_n_writes_the_pairs_of_n_10(self, tmp_path):
+        corpus = misfit_corpus(tmp_path, "--items-per-tag", "10")  # 10 negatives each
+        outs = [tmp_path / "absent.csv", tmp_path / "given.csv"]
+        for out, flags in zip(outs, ([], ["--n", "10"])):
+            assert run(["build-pairs", "--corpus", str(corpus), "--strategy", "one-to-n",
+                        *flags, "--seed", "3", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestTrain:
     def test_same_seed_gives_identical_checkpoints(self, tmp_path, corpus_dir, pairs_file):
@@ -395,14 +414,17 @@ class TestRetrieve:
 
 
 class TestCompare:
-    @pytest.mark.parametrize("flags, want", [([], ("unbalanced", 10)),
-                                             (["--strategy", "one-to-n", "--n", "3"],
-                                              ("one-to-n", 3))])
+    @pytest.mark.parametrize("flags, want", [
+        ([], D.PairingStrategy.unbalanced()),
+        (["--strategy", "one-to-n"], D.PairingStrategy.one_to_n(10)),
+        (["--strategy", "one-to-n", "--n", "3"], D.PairingStrategy.one_to_n(3)),
+        (["--strategy", "balanced", "--n", "1"], D.PairingStrategy.balanced()),
+    ])
     def test_pairing_flags_parse_as_build_pairs_parses_them(self, flags, want):
         parse = build_parser().parse_args
         for args in (parse(["build-pairs", "--corpus", "c", "--out", "o", *flags]),
                      parse(["compare", "--corpus", "c", *flags])):
-            assert (args.strategy, args.n) == want
+            assert cli._strategy_from_args(args) == want
 
     def test_json_is_single_document(self, corpus_dir, capsys):
         code = run([
@@ -427,6 +449,14 @@ class TestCompare:
     def test_a_repeated_seed_fails_before_reading_the_corpus(self, tmp_path, capsys):
         assert run(["compare", "--corpus", str(tmp_path / "missing"), "--seeds", "1,1,1"]) == 1
         assert "seed 1 given more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy", ["unbalanced", "balanced"])
+    def test_an_n_outside_one_to_n_fails_before_reading_the_corpus(self, strategy, tmp_path,
+                                                                  capsys):
+        assert run(["compare", "--corpus", str(tmp_path / "missing"), "--strategy", strategy,
+                    "--n", "2"]) == 1
+        assert (f"n applies to one_to_n only, got n=2 for {strategy!r}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("flag", ["--k", "--n"])
     def test_count_below_one_fails_before_reading_the_corpus(self, flag, tmp_path, capsys):

@@ -4,7 +4,10 @@ cycle (data -> nn -> model -> train -> evaluate -> cli)."""
 
 import ast
 import graphlib
+import importlib
 from pathlib import Path
+
+import tripletrec
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tripletrec"
 
@@ -43,3 +46,14 @@ def test_relative_imports_form_no_cycle():
     except graphlib.CycleError as e:
         raise AssertionError(f"import cycle: {' -> '.join(e.args[1])}") from None
     assert order.index("train") < order.index("evaluate") < order.index("cli")
+
+
+def test_no_package_attribute_shadows_a_module():
+    """``import tripletrec.x as X`` binds the package's attribute x, so a
+    re-export named after a module would stand in for the module there."""
+    import tripletrec.train as T
+
+    assert T is importlib.import_module("tripletrec.train")
+    for name in import_graph().keys() - {"__init__"}:
+        module = importlib.import_module(f"tripletrec.{name}")
+        assert getattr(tripletrec, name) is module, name

@@ -4,6 +4,7 @@ hand computations or independent re-implementations."""
 
 import gc
 import math
+import re
 import warnings
 import weakref
 from unittest import mock
@@ -283,6 +284,52 @@ class TestTwonetLoss:
             h=1e-4,
         )
         assert report.passed, report.summary()
+
+
+def batch_loss(m, kind, form, u, branches, labels):
+    """The kind's loss on item branches given as row indices into a 5-row
+    catalogue: passed as those rows' features, or (form "rows") as the
+    indices themselves with the catalogue as ``items``."""
+    items = np.random.default_rng(0).normal(size=(5, 5))
+    loss = M.triplet_loss_and_grads if kind == "triplet" else M.twonet_loss_and_grads
+    if form == "rows":
+        return loss(m, u, *branches, labels, items=items)
+    return loss(m, u, *[items[b] for b in branches], labels)
+
+
+class TestBatchChecks:
+    """A loss call refuses a batch whose labels and branches do not hold one
+    entry per user row, and a row index outside the catalogue, with a
+    ValueError naming them, before it writes any gradient."""
+
+    @pytest.mark.parametrize("form", ["features", "rows"])
+    @pytest.mark.parametrize("kind", ["triplet", "twonet"])
+    @pytest.mark.parametrize("case", ["one-label", "2-d-labels", "scalar-label", "short-branch",
+                                      "one-user"])
+    def test_parts_of_another_length_are_refused(self, case, kind, form):
+        m = tiny_model(seed=5)
+        n_users = 1 if case == "one-user" else 3
+        labels = {"one-label": np.zeros(1), "2-d-labels": np.zeros((3, 1)),
+                  "scalar-label": 0.0}.get(case, np.zeros(3))
+        branches = [[0, 1, 2], [3, 4, 0]][: 2 if kind == "triplet" else 1]
+        if case == "short-branch":
+            branches[-1] = branches[-1][:2]
+        lengths = [len(b) for b in branches]
+        want = (f"a batch of {n_users} users needs 1-D labels and branches of {n_users} rows, "
+                f"got labels of shape {np.shape(labels)} and branches of {lengths} rows")
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            batch_loss(m, kind, form, np.ones((n_users, 3)), branches, labels)
+        assert not any(p.grad.any() for p in m.parameters())
+
+    @pytest.mark.parametrize("kind", ["triplet", "twonet"])
+    @pytest.mark.parametrize("row", [-1, 5, -7])
+    def test_a_row_outside_the_catalogue_is_refused(self, kind, row):
+        m = tiny_model(seed=6)
+        branches = [[0, 1, 2], [3, row, 0]][: 2 if kind == "triplet" else 1]
+        branches[0][1] = row
+        with pytest.raises(ValueError, match=f"^row {row} is outside the 5 input rows$"):
+            batch_loss(m, kind, "rows", np.ones((3, 3)), branches, np.zeros(3))
+        assert not any(p.grad.any() for p in m.parameters())
 
 
 def brute_force_user_ranking(model, u, item_ids, item_features, k):
